@@ -1,9 +1,10 @@
-.PHONY: check fmt vet build test race differential obsgate fuzz-smoke bench bench-all bench-compare
+.PHONY: check fmt vet build test race differential obsgate fuzz-smoke perfbench-smoke bench bench-all bench-compare
 
 # The pre-PR gate: formatting, static analysis, build, race-enabled tests,
 # the multi-query differential suite under the race detector, the
-# disabled-hooks overhead gate, and a short fuzz of the storage decoders.
-check: fmt vet build race differential obsgate fuzz-smoke
+# tracing overhead gates, a short fuzz of the storage decoders, and the
+# end-to-end benchmark's smoke test.
+check: fmt vet build race differential obsgate fuzz-smoke perfbench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -41,11 +42,20 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzColumnarPageDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzTableDecode -fuzztime=30s ./internal/pivot/
 
-# The observability overhead gate: with no tracer installed, the hooked
-# page loop must run within 2% of the bare loop. Timing-sensitive, so it
-# runs without the race detector (under -race the test skips itself).
+# The observability overhead gates: with no tracer installed, the hooked
+# page loop must run within 2% of the bare loop; with a tracer installed,
+# a 20-d m=100 scan batch must run within 10% of the untraced batch.
+# Timing-sensitive, so they run without the race detector (under -race
+# the tests skip themselves).
 obsgate:
 	go test -count=1 -run TestDisabledHookOverhead ./internal/obs/
+	go test -count=1 -run TestTracedOverhead ./internal/msq/
+
+# The end-to-end benchmark (a separate module under perfbench/) at tiny
+# sizes: every metric is emitted, counters repeat exactly, the traced
+# replay matches the public stack, and wrong answers count as failures.
+perfbench-smoke:
+	cd perfbench && go test ./...
 
 # The perf gate for the hot path: kernel microbenchmarks (full Distance vs
 # bounded DistanceWithin, with allocation counts for the scratch-reuse

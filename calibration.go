@@ -91,7 +91,9 @@ func (m *calibMeter) predict(queries []Query) (cost.EngineEstimate, bool) {
 
 // phaseSums reads the cumulative kernel and page-fetch phase wall times
 // from the processor's tracer (zero without one); the caller differences
-// two reads around a batch to approximate its phase split.
+// two reads around a batch to approximate its phase split. The kernel
+// phase times whole pages, so the fitted ns-per-distance also absorbs the
+// Lemma 1/2 avoidance checks and the sequential inline merge.
 func (m *calibMeter) phaseSums(proc *msq.Processor) (kernelNs, fetchNs int64) {
 	tr := proc.Tracer()
 	if !tr.Enabled() {

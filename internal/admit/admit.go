@@ -587,9 +587,9 @@ func (c *Controller) targetWidth() int {
 // pressure returns the I/O-boundedness signal in [0, 1]. With no override
 // configured it is the larger of the live buffer-pool miss ratio and —
 // when the processor has a tracer — the page_fetch share of the phase
-// histograms' accumulated wall time against the CPU phases (kernel +
-// avoid). Both rise exactly when one more query sharing a page pass saves
-// the most repeated work.
+// histograms' accumulated wall time against the CPU phase (kernel, which
+// includes the avoidance checks). Both rise exactly when one more query
+// sharing a page pass saves the most repeated work.
 func (c *Controller) pressure() float64 {
 	if c.cfg.Pressure != nil {
 		return clamp01(c.cfg.Pressure())
@@ -602,7 +602,7 @@ func (c *Controller) pressure() float64 {
 	}
 	if tr := c.proc.Tracer(); tr.Enabled() {
 		fetch := tr.Snapshot(obs.PhasePageFetch).SumNs
-		cpu := tr.Snapshot(obs.PhaseKernel).SumNs + tr.Snapshot(obs.PhaseAvoid).SumNs
+		cpu := tr.Snapshot(obs.PhaseKernel).SumNs
 		if fetch+cpu > 0 {
 			if share := float64(fetch) / float64(fetch+cpu); share > p {
 				p = share

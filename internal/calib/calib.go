@@ -87,9 +87,10 @@ type Observed struct {
 	DistCalcs      int64 `json:"dist_calcs"`
 	PivotDistCalcs int64 `json:"pivot_dist_calcs,omitempty"`
 	PagesRead      int64 `json:"pages_read"`
-	// KernelNs and FetchNs are the batch's kernel(+avoid) and page-fetch
-	// phase wall times when the run was profiled or traced; zero when
-	// unknown (the fitted unit constants then simply do not update).
+	// KernelNs and FetchNs are the batch's kernel (whole-page evaluation,
+	// avoidance checks included) and page-fetch phase wall times when the
+	// run was profiled or traced; zero when unknown (the fitted unit
+	// constants then simply do not update).
 	KernelNs int64 `json:"kernel_ns,omitempty"`
 	FetchNs  int64 `json:"fetch_ns,omitempty"`
 	// WallNs is the batch's total wall time.

@@ -145,7 +145,7 @@ func TestDifferentialLayoutSoA(t *testing.T) {
 	}
 }
 
-// TestDifferentialLayoutSoAExplain pins the observation twins of the row
+// TestDifferentialLayoutSoAExplain pins EXPLAIN attribution on the row
 // path: EXPLAIN over an SoA run must report the same batch stats as the
 // unprofiled SoA run and the same per-query offered sets as an AoS
 // EXPLAIN.

@@ -353,8 +353,8 @@ func TestDifferentialIncremental(t *testing.T) {
 // TestDifferentialTraced pins the tracing contract: installing a tracer
 // must not perturb anything observable — answers, every Stats counter,
 // disk I/O and buffer hit/miss counts stay bit-identical to the untraced
-// run at every pipeline width. The traced hot loops are verbatim twins of
-// the untraced ones; this test is what keeps them in lockstep.
+// run at every pipeline width. Traced and untraced runs share one page
+// evaluator; this test keeps the tracer's page-grain timing observational.
 func TestDifferentialTraced(t *testing.T) {
 	const dim = 4
 	items := testDB(31, 300, dim)

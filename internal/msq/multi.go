@@ -104,8 +104,8 @@ type Session struct {
 	// overhead at m(m-1)/2 for a block of m queries even under
 	// incremental evaluation.
 	pairDist map[pairKey]float64
-	// explain, when non-nil, switches the page loops to their explain
-	// twins for the duration of one ExplainAllContext call (set and
+	// explain, when non-nil, collects per-query attribution and phase
+	// times for the duration of one ExplainAllContext call (set and
 	// cleared under mu; the pipeline's workers only read it).
 	explain *explainState
 }
@@ -192,9 +192,7 @@ func (s *Session) MultiQueryContext(ctx context.Context, queries []Query) ([]*qu
 	// Inter-query distance matrix for the avoidance lemmas. Computing it
 	// costs m(m-1)/2 distance calculations — the initialization overhead
 	// that is quadratic in m (§5.2, §6.4).
-	sp := tr.Start(obs.PhaseMatrix)
 	matrix := s.queryDistMatrix(queries, &stats)
-	sp.End()
 	pos := identityPositions(len(states))
 
 	err = s.run(ctx, states, matrix, pos, &stats)
@@ -285,8 +283,9 @@ func identityPositions(n int) []int {
 // states[i]), so MultiQueryAll can share one matrix across all its passes.
 func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]float64, pos []int, stats *Stats) error {
 	first := states[0]
-	tr := s.proc.tracer
-	traced := tr.Enabled()
+	// sc is the page pass scratch, pre-sized so no observation mode of the
+	// loop allocates in steady state; the pipeline adopts it as worker 0's.
+	sc := newPageScratch(len(states))
 
 	// Bootstrap: a k-NN query that has no answers yet cannot exclude any
 	// page (its query distance is infinite), so sharing Q1's pages with
@@ -299,40 +298,28 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 	// +Inf, which is fine — a scan processes every page for every query
 	// by design.
 	s.bootstrap(states)
-	if err := s.seedFirstPages(states, pos, stats); err != nil {
+	if err := s.seedFirstPages(states, pos, stats, sc); err != nil {
 		return err
 	}
 
 	// determine_relevant_data_pages: the plan covers (at least) every
 	// page relevant for Q1, in optimal order. Buffered partial answers
 	// and the a-priori bound give Q1 a head start on its query distance.
-	ex := s.explain
-	var planStart time.Time
-	if ex != nil {
-		planStart = time.Now()
-	}
-	sp := tr.Start(obs.PhasePlan)
+	planStart := s.clock()
 	plan := first.pq.Plan(first.queryDist())
-	sp.End()
-	if ex != nil {
-		ex.observe(obs.PhasePlan, time.Since(planStart))
-	}
+	s.observeSince(obs.PhasePlan, planStart)
 
 	if width := s.proc.Concurrency(); width > 1 {
-		if err := s.runPipeline(ctx, plan, states, matrix, pos, stats, width); err != nil {
+		if err := s.runPipeline(ctx, plan, states, matrix, pos, stats, width, sc); err != nil {
 			return err
 		}
 		first.done = true
 		return nil
 	}
 
-	// active caches, per page, which queries still need the page; sc is
-	// the page loop's scratch (avoidance lists, pruning-distance mirrors,
-	// row-kernel buffers), pre-sized so no observation mode of the loop
-	// allocates in steady state.
+	// active caches, per page, which queries still need the page.
 	active := make([]*queryState, 0, len(states))
 	activePos := make([]int, 0, len(states))
-	sc := newSeqScratch(len(states))
 
 	for _, ref := range plan {
 		if err := ctx.Err(); err != nil {
@@ -346,37 +333,23 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 		}
 
 		active, activePos = s.decideActive(ref.ID, states, pos, active, activePos)
-
-		var waitStart time.Time
-		if traced || ex != nil {
-			waitStart = time.Now()
-		}
-		page, err := s.proc.eng.ReadPage(ref.ID)
-		if traced {
-			tr.ObserveSince(obs.PhasePageWait, waitStart)
-		}
-		if ex != nil {
-			ex.observe(obs.PhasePageWait, time.Since(waitStart))
-		}
+		page, err := s.readPage(ref.ID)
 		if err != nil {
 			return fmt.Errorf("msq: multiple query: %w", err)
 		}
-		stats.PageVisits += int64(len(active))
-		if ex != nil {
-			for _, p := range activePos {
-				ex.prof[p].pagesVisited.Add(1)
-			}
-		}
-
 		s.processPage(page, active, activePos, matrix, stats, sc)
-
-		for _, st := range active {
-			st.processed[ref.ID] = struct{}{}
-		}
+		markProcessed(ref.ID, active)
 	}
 
 	first.done = true // A1 is now complete; buffer_answers is implicit.
 	return nil
+}
+
+// markProcessed records that pid has been examined for every active query.
+func markProcessed(pid store.PageID, active []*queryState) {
+	for _, st := range active {
+		st.processed[pid] = struct{}{}
+	}
 }
 
 // decideActive computes which queries still need the page: not finished, not
@@ -438,11 +411,11 @@ func (s *Session) bootstrap(states []*queryState) {
 // distance, so subsequent page sharing for the query admits few superfluous
 // pages. Only queries whose answer list is still unfilled are seeded, and
 // only on engines with geometric page knowledge (an uninformative engine
-// such as the scan would always seed page 0 for everyone).
-func (s *Session) seedFirstPages(states []*queryState, pos []int, stats *Stats) error {
+// such as the scan would always seed page 0 for everyone). The seed page
+// is an ordinary page pass with one active query and no matrix, so its
+// read, evaluation and attribution are observed like any other page.
+func (s *Session) seedFirstPages(states []*queryState, pos []int, stats *Stats, sc *pageScratch) error {
 	eng := s.proc.eng
-	ex := s.explain
-	kernel := s.proc.metric.Kernel()
 	nPages := eng.NumPages()
 	for idx, st := range states {
 		if idx == 0 || st.done || st.answers.Full() || !st.q.Type.Bounded() {
@@ -467,47 +440,23 @@ func (s *Session) seedFirstPages(states []*queryState, pos []int, stats *Stats) 
 		if !informative || best == store.InvalidPage {
 			continue
 		}
-		page, err := eng.ReadPage(best)
+		page, err := s.readPage(best)
 		if err != nil {
 			return fmt.Errorf("msq: seeding query %d: %w", st.q.ID, err)
 		}
-		stats.PageVisits++
-		var prof *explainCounters
-		if ex != nil {
-			prof = &ex.prof[pos[idx]]
-			prof.pagesVisited.Add(1)
-		}
-		var calcs, abandoned int64
-		for i := range page.Items {
-			// The live bound (a-priori MAXDIST bound, tightening as the
-			// list fills) lets later items on the seed page abandon early;
-			// an abandoned item could not have entered the list. Calls go
-			// through the raw kernel and settle in one AddCalls per seed
-			// page, like the page loop.
-			d, within := kernel.DistanceWithin(st.q.Vec, page.Items[i].Vec, st.queryDist())
-			calcs++
-			if prof != nil {
-				prof.distCalcs.Add(1)
-				if !within {
-					prof.abandoned.Add(1)
-				}
-			}
-			if within {
-				st.answers.Consider(page.Items[i].ID, d)
-			} else {
-				abandoned++
-			}
-		}
-		s.proc.metric.AddCalls(calcs, abandoned)
-		st.processed[best] = struct{}{}
+		active := states[idx : idx+1]
+		s.processPage(page, active, pos[idx:idx+1], nil, stats, sc)
+		markProcessed(best, active)
 	}
 	return nil
 }
 
 // queryDistMatrix computes dist(Q_i, Q_j) for all pairs. Row i is indexed
 // by query position j. With avoidance disabled, or for a single query, no
-// matrix is needed.
+// matrix is needed: a nil matrix is what switches avoidance off in the
+// page pass.
 func (s *Session) queryDistMatrix(queries []Query, stats *Stats) [][]float64 {
+	defer s.observeSince(obs.PhaseMatrix, s.clock())
 	m := len(queries)
 	if m < 2 || s.proc.opts.Avoidance == AvoidOff {
 		return nil
@@ -542,6 +491,39 @@ func (s *Session) pairDistance(qi, qj Query, stats *Stats) float64 {
 	return d
 }
 
+// clock reads the time only when the call is observed — by a tracer or by
+// EXPLAIN — and returns the zero time otherwise, so an unobserved call pays
+// one branch per phase boundary and no clock reads. Phases are timed at
+// page (pipeline: chunk) grain; no clock is read per item or per pair.
+func (s *Session) clock() time.Time {
+	if s.explain == nil && !s.proc.tracer.Enabled() {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeSince charges the time since start, taken from clock, to phase p
+// in the tracer and the EXPLAIN state; a zero start (unobserved) is a no-op.
+func (s *Session) observeSince(p obs.Phase, start time.Time) {
+	if start.IsZero() {
+		return
+	}
+	d := time.Since(start)
+	s.proc.tracer.Observe(p, d)
+	if ex := s.explain; ex != nil {
+		ex.observe(p, d)
+	}
+}
+
+// readPage fetches a data page through the engine, charging the wait to
+// PhasePageWait.
+func (s *Session) readPage(pid store.PageID) (*store.Page, error) {
+	start := s.clock()
+	page, err := s.proc.eng.ReadPage(pid)
+	s.observeSince(obs.PhasePageWait, start)
+	return page, err
+}
+
 // knownDist records a distance already calculated from the current database
 // object to the query at position idx ("AvoidingDists" in Figure 4). When
 // the calculation was abandoned early by the bounded kernel, d is only a
@@ -562,12 +544,13 @@ type knownDist struct {
 	idx int32
 }
 
-// seqScratch bundles the sequential page loop's reusable buffers, shared
-// by the plain, traced and explain twins so switching observation modes
-// never changes the allocation profile. Every field is sized for the full
-// batch and sliced down to the page's active set; contents are clobbered
-// on each page.
-type seqScratch struct {
+// pageScratch bundles one page pass's reusable buffers. Every field is
+// sized for the full batch and sliced down to the page's active set;
+// contents are clobbered on each page. The sequential loop owns one; the
+// pipeline keeps one per worker, and worker 0's also holds the page-level
+// inputs (qds, raise, qvecs, q32, filters) that the coordinator fills at
+// the page barrier and the workers only read.
+type pageScratch struct {
 	known   []knownDist
 	qds     []float64
 	raise   []float64
@@ -578,8 +561,8 @@ type seqScratch struct {
 	filters []*vec.QuantFilter
 }
 
-func newSeqScratch(n int) *seqScratch {
-	return &seqScratch{
+func newPageScratch(n int) *pageScratch {
+	return &pageScratch{
 		known:   make([]knownDist, 0, n),
 		qds:     make([]float64, n),
 		raise:   make([]float64, n),
@@ -589,6 +572,61 @@ func newSeqScratch(n int) *seqScratch {
 		rowW:    make([]bool, n),
 		filters: make([]*vec.QuantFilter, n),
 	}
+}
+
+// pagePass is one page's evaluation against its active set: the inputs
+// every item range of the page shares, fixed when the page starts.
+type pagePass struct {
+	page      *store.Page
+	active    []*queryState
+	activeIdx []int
+	// matrix is the query-distance matrix; nil turns avoidance off.
+	matrix [][]float64
+	// qds holds the active queries' pruning distances. With live merging
+	// they mirror the answer lists exactly: a pruning distance changes only
+	// when the query's own Consider accepts an item (st.bound is fixed
+	// during the page loop), and every accept refreshes the mirror. In the
+	// pipeline they are the page-barrier snapshot and stay fixed.
+	qds []float64
+	// raise caches the Lemma-1 horizon bound of abandonLimit per query.
+	raise []float64
+	// rows selects the blocked row kernels (f32: over the float32
+	// sibling); qvecs or q32 are their query inputs.
+	rows, f32 bool
+	qvecs     []vec.Vector
+	q32       [][]float32
+	filters   []*vec.QuantFilter
+	// ex, when non-nil, receives per-query attribution.
+	ex *explainState
+}
+
+// newPass gathers a page pass's inputs from the active queries' current
+// state. The sequential loop calls it when the page starts; the pipeline
+// calls it at the page barrier, which makes every input a snapshot.
+func (s *Session) newPass(page *store.Page, active []*queryState, activeIdx []int, matrix [][]float64, sc *pageScratch) pagePass {
+	n := len(active)
+	pp := pagePass{page: page, active: active, activeIdx: activeIdx, matrix: matrix, qds: sc.qds[:n], ex: s.explain}
+	for a, st := range active {
+		pp.qds[a] = st.queryDist()
+	}
+	if matrix != nil {
+		pp.raise = lemma1Raises(activeIdx, matrix, pp.qds, sc.raise)
+	}
+	pp.rows, pp.f32 = s.rowPath(page, matrix != nil, n)
+	switch {
+	case pp.rows && pp.f32:
+		pp.q32 = sc.q32[:n]
+		for a, st := range active {
+			pp.q32[a] = st.f32()
+		}
+	case pp.rows:
+		pp.qvecs = sc.qvecs[:n]
+		for a, st := range active {
+			pp.qvecs[a] = st.q.Vec
+		}
+	}
+	pp.filters = s.quantFilters(page, active, sc.filters)
+	return pp
 }
 
 // rowPath reports whether this page runs through the blocked row kernels
@@ -642,163 +680,99 @@ func (s *Session) quantFilters(page *store.Page, active []*queryState, dst []*ve
 	return dst
 }
 
-// processPageRows is the blocked (SoA) page pass: one row-kernel call per
-// item evaluates the whole active set against the item's block row, so the
-// row — just loaded into cache — is reused m times and the kernel dispatch
-// is devirtualized once per page instead of once per pair. Only reached
-// when rowPath holds, under which the results are bit-identical to the
-// per-pair loop (see rowPath); with f32 the distances instead carry the
-// block's documented input-rounding error and the caller has opted into
-// that via LayoutF32. Observation modes share this body: ex/tr attribution
-// is per item (not per pair), which costs one predictable branch per row.
-func (s *Session) processPageRows(page *store.Page, active []*queryState, activeIdx []int, sc *seqScratch, f32 bool, ex *explainState, tr *obs.Tracer) {
-	observing := ex != nil || tr.Enabled()
-	var pageStart time.Time
-	if observing {
-		pageStart = time.Now()
-	}
-	b := page.Cols
-	rows := s.proc.rows
-	qds := sc.qds[:len(active)]
-	dOut := sc.rowD[:len(active)]
-	wOut := sc.rowW[:len(active)]
-	for i, st := range active {
-		qds[i] = st.queryDist()
-	}
-	var q64 []vec.Vector
-	var q32 [][]float32
-	if f32 {
-		q32 = sc.q32[:len(active)]
-		for i, st := range active {
-			q32[i] = st.f32()
-		}
-	} else {
-		q64 = sc.qvecs[:len(active)]
-		for i, st := range active {
-			q64[i] = st.q.Vec
-		}
-	}
-	var calcs, abandoned int64
-	for it := 0; it < b.N; it++ {
-		var ab int
-		if f32 {
-			ab = rows.RowWithinF32(q32, b, it, qds, dOut, wOut)
-		} else {
-			ab = rows.RowWithin(q64, b, it, qds, dOut, wOut)
-		}
-		calcs += int64(len(active))
-		abandoned += int64(ab)
-		if ex != nil {
-			for a := range active {
-				prof := &ex.prof[activeIdx[a]]
-				prof.distCalcs.Add(1)
-				if !wOut[a] {
-					prof.abandoned.Add(1)
-				}
-			}
-		}
-		if ab == len(active) {
-			continue // no lane within: nothing to Consider
-		}
-		id := page.Items[it].ID
-		for a, st := range active {
-			if wOut[a] {
-				if st.answers.Consider(id, dOut[a]) {
-					qds[a] = st.queryDist()
-				}
-			}
-		}
-	}
-	s.proc.metric.AddCalls(calcs, abandoned)
-	if observing {
-		kernelNs := time.Since(pageStart)
-		if ex != nil {
-			ex.observe(obs.PhaseKernel, kernelNs)
-		}
-		if tr.Enabled() {
-			tr.Observe(obs.PhaseKernel, kernelNs)
+// passCounts are the counter deltas of one evaluated item range.
+type passCounts struct {
+	calcs, abandoned, tries, avoided, filtered int64
+}
+
+// settle charges an evaluated range's counts to the counting metric and to
+// the call's Stats.
+func (s *Session) settle(c passCounts, stats *Stats) {
+	s.proc.metric.AddCalls(c.calcs, c.abandoned)
+	s.proc.metric.AddFiltered(c.filtered)
+	stats.AvoidTries += c.tries
+	stats.Avoided += c.avoided
+	stats.QuantFiltered += c.filtered
+}
+
+// visit counts one page visit per active query.
+func (s *Session) visit(activeIdx []int, stats *Stats) {
+	stats.PageVisits += int64(len(activeIdx))
+	if ex := s.explain; ex != nil {
+		for _, p := range activeIdx {
+			ex.prof[p].pagesVisited.Add(1)
 		}
 	}
 }
 
-// processPage tests every item of page against every active query, using
-// the triangle inequality over already-known distances to avoid
-// calculations where possible. Unavoidable calculations run through the
-// bounded distance kernel, which abandons mid-vector as soon as the partial
-// result proves the exact distance irrelevant. The abandonment limit is not
-// the query's own pruning distance but the abandonLimit raise of it, so an
+// processPage is the sequential page pass: the page's whole item range is
+// evaluated as one chunk with live merging, and timed as a whole into
+// PhaseKernel (avoidance, kernel and merge together).
+func (s *Session) processPage(page *store.Page, active []*queryState, activeIdx []int, matrix [][]float64, stats *Stats, sc *pageScratch) {
+	s.visit(activeIdx, stats)
+	pp := s.newPass(page, active, activeIdx, matrix, sc)
+	start := s.clock()
+	c := s.evalItems(&pp, 0, len(page.Items), nil, sc)
+	s.observeSince(obs.PhaseKernel, start)
+	s.settle(c, stats)
+}
+
+// evalItems is the one page evaluator of Figure 4: it tests the items
+// [lo, hi) of the pass's page against every active query, using the
+// triangle inequality over already-known distances to avoid calculations
+// where possible. Unavoidable calculations run through the bounded
+// distance kernel, which abandons mid-vector as soon as the partial result
+// proves the exact distance irrelevant. The abandonment limit is not the
+// query's own pruning distance but the abandonLimit raise of it, so an
 // abandoned calculation provably (a) could never have produced an answer
 // (Consider would reject it) and (b) fires Lemma 1 — and withholds Lemma 2
 // — for every later query on this item exactly where the exact distance
 // would, leaving DistCalcs and Avoided untouched relative to full-distance
 // evaluation. The partial result is appended to known like any other
-// distance, so later probes see the same entry sequence either way. sc is
-// caller-owned scratch sized for the batch; its contents are clobbered.
+// distance, so later probes see the same entry sequence either way.
+//
+// Results go one of two ways. With a nil out the merge is live: each
+// within distance is offered to the answer list at once, the pruning
+// distance mirror is refreshed on accept, and the Lemma-1 raises are lifted
+// when a pruning distance turns finite (the sequential path). With a
+// non-nil out — the pipeline's dists matrix, nItems × nActive — the
+// distance of item it for active query a goes to out[it*nActive+a], or
+// skippedDist when it was not fully computed, and the limits stay the
+// page-barrier snapshot; the pipeline's sharded merge consumes out later.
 //
 // Distance calculations bypass the Counting wrapper: the loop calls the raw
-// kernel and settles the calc/abandon counts in one AddCalls batch per
-// page, trading two atomic updates per evaluation for two per page.
-//
-// Layouts: pages with a columnar block take the blocked row path when
-// rowPath holds (bit-identical for LayoutSoA; see rowPath). LayoutQuant
-// screens each pair through the quantized lower-bound filter before the
-// kernel: a rejected pair provably satisfies dist > qd, so it could not
-// have been an answer; it is not appended to known (Lemma 2 over a lower
-// bound is unsound) and is counted in QuantFiltered instead of DistCalcs.
-// Answers and page reads are unchanged; only the CPU counters shift.
-//
-// When a tracer is enabled the page is evaluated by processPageTraced — a
-// verbatim copy of this loop plus per-pair clock reads — so the untraced
-// hot path carries no per-pair branches at all. The two loops must stay in
-// lockstep; the traced differential test pins that their answers and
-// avoidance counters are identical.
-func (s *Session) processPage(page *store.Page, active []*queryState, activeIdx []int, matrix [][]float64, stats *Stats, sc *seqScratch) {
-	avoiding := matrix != nil && s.proc.opts.Avoidance != AvoidOff
-	if useRows, f32 := s.rowPath(page, avoiding, len(active)); useRows {
-		s.processPageRows(page, active, activeIdx, sc, f32, s.explain, s.proc.tracer)
-		return
-	}
-	if ex := s.explain; ex != nil {
-		s.processPageExplain(ex, page, active, activeIdx, matrix, stats, sc)
-		return
-	}
-	if tr := s.proc.tracer; tr.Enabled() {
-		s.processPageTraced(tr, page, active, activeIdx, matrix, stats, sc)
-		return
+// kernel and returns its counts for one settle per range. Pages take the
+// blocked row path when rowPath holds (bit-identical for LayoutSoA).
+// LayoutQuant screens each pair through the quantized lower-bound filter
+// before the kernel: a rejected pair provably satisfies dist > qd, so it
+// could not have been an answer; it is not appended to known (Lemma 2 over
+// a lower bound is unsound) and is counted in QuantFiltered instead of
+// DistCalcs. EXPLAIN attribution (pp.ex) is the only per-pair observation;
+// no clock is read here.
+func (s *Session) evalItems(pp *pagePass, lo, hi int, out []float64, sc *pageScratch) (c passCounts) {
+	if pp.rows {
+		return s.evalRows(pp, lo, hi, out, sc)
 	}
 	kernel := s.proc.metric.Kernel()
-	filters := s.quantFilters(page, active, sc.filters)
-	var calcs, abandoned int64
-	startFiltered := stats.QuantFiltered
-	// qds mirrors each active query's pruning distance exactly: a pruning
-	// distance changes only when the query's own Consider accepts an item
-	// (st.bound is fixed during the page loop), and every accept refreshes
-	// the mirror below — so the per-pair qd is a cached read, not a call.
+	items, filters, ex := pp.page.Items, pp.filters, pp.ex
+	active, activeIdx, matrix, qds, raise := pp.active, pp.activeIdx, pp.matrix, pp.qds, pp.raise
+	avoiding := matrix != nil
 	known := sc.known
-	qds := sc.qds[:len(active)]
-	for i, st := range active {
-		qds[i] = st.queryDist()
-	}
-	// raise[a] caches the Lemma-1 horizon bound of abandonLimit, computed
-	// from the page-start qds. Pruning distances only shrink during the
-	// page, which leaves the cached raise too high — still at or above
-	// every live horizon (the identity requirement), merely abandoning
-	// less — so shrinks do not invalidate it. The one event that would
-	// make it too low is a pruning distance turning finite (a k-NN list
-	// filling up mid-page): that query's horizon springs into existence,
-	// so every cached raise is lifted to cover the new horizon then — an
-	// O(m) overapproximation (the suffix raise of a later position need
-	// not include the new query, but a higher raise stays valid). Each
-	// query transitions at most once per run.
-	var raise []float64
-	if avoiding {
-		raise = lemma1Raises(activeIdx, matrix, qds, sc.raise)
-	}
-	for it := range page.Items {
-		item := &page.Items[it]
+	var row []float64
+	for it := lo; it < hi; it++ {
+		item := &items[it]
 		var codes []uint8
 		if filters != nil {
-			codes = page.Cols.ItemCodes(it)
+			codes = pp.page.Cols.ItemCodes(it)
+		}
+		if out != nil {
+			// Every slot starts skipped; only within distances overwrite,
+			// which keeps the avoided, filtered and abandoned paths free
+			// of stores.
+			row = out[it*len(active) : (it+1)*len(active)]
+			for a := range row {
+				row[a] = skippedDist
+			}
 		}
 		known = known[:0]
 		for a, st := range active {
@@ -806,128 +780,109 @@ func (s *Session) processPage(page *store.Page, active []*queryState, activeIdx 
 			qd := qds[a]
 			limit := qd
 			if avoiding {
-				if s.avoidable(qd, pos, known, matrix, &stats.AvoidTries) {
-					stats.Avoided++
+				av, byL1, n := s.avoidable(qd, matrix[pos], known)
+				c.tries += n
+				if ex != nil {
+					ex.prof[pos].attributeProbe(av, byL1, n)
+				}
+				if av {
+					c.avoided++
 					continue
 				}
 				limit = abandonLimit(qd, raise[a], len(known))
 			}
-			if filters != nil {
-				if f := filters[a]; f != nil && f.Exceeds(codes, qd) {
-					stats.QuantFiltered++
-					continue
+			if filters != nil && filters[a].Exceeds(codes, qd) {
+				c.filtered++
+				if ex != nil {
+					ex.prof[pos].filtered.Add(1)
 				}
+				continue
 			}
 			d, within := kernel.DistanceWithin(st.q.Vec, item.Vec, limit)
-			calcs++
+			c.calcs++
+			if ex != nil {
+				ex.prof[pos].attributeCalc(within)
+			}
 			if avoiding {
 				known = append(known, knownDist{d: d, idx: int32(pos)})
 			}
-			if within {
-				if st.answers.Consider(item.ID, d) {
-					wasInf := math.IsInf(qd, 1)
-					qds[a] = st.queryDist()
-					if avoiding && wasInf && !math.IsInf(qds[a], 1) {
-						row := matrix[pos]
-						for j, p := range activeIdx {
-							if t := row[p] + qds[a]; t > raise[j] {
-								raise[j] = t
-							}
+			if !within {
+				c.abandoned++
+			} else if out != nil {
+				row[a] = d
+			} else if st.answers.Consider(item.ID, d) {
+				wasInf := math.IsInf(qd, 1)
+				qds[a] = st.queryDist()
+				// raise was computed from the page-start qds. Pruning
+				// distances only shrink during the page, which leaves it too
+				// high — still at or above every live horizon (the identity
+				// requirement), merely abandoning less. The one event that
+				// would make it too low is a pruning distance turning finite
+				// (a k-NN list filling up mid-page): that query's horizon
+				// springs into existence, so every raise is lifted to cover
+				// it — an O(m) overapproximation, at most once per query.
+				if avoiding && wasInf && !math.IsInf(qds[a], 1) {
+					mrow := matrix[pos]
+					for j, p := range activeIdx {
+						if t := mrow[p] + qds[a]; t > raise[j] {
+							raise[j] = t
 						}
 					}
 				}
-			} else {
-				abandoned++
 			}
 		}
 	}
-	s.proc.metric.AddCalls(calcs, abandoned)
-	s.proc.metric.AddFiltered(stats.QuantFiltered - startFiltered)
+	return c
 }
 
-// processPageTraced is processPage with tracing enabled: the same loop,
-// plus clock reads that split the page's evaluation time into the avoidance
-// phase (triangle-inequality probes and abandonment-limit bookkeeping) and
-// the kernel phase (everything else: bounded distance evaluations and
-// answer-list updates). Timing is observation-only — every avoidance
-// decision, kernel limit, and Consider call is byte-for-byte the decision
-// the untraced loop makes, so answers and the DistCalcs/Avoided/AvoidTries
-// counters cannot differ. Keep this body in lockstep with processPage.
-func (s *Session) processPageTraced(tr *obs.Tracer, page *store.Page, active []*queryState, activeIdx []int, matrix [][]float64, stats *Stats, sc *seqScratch) {
-	pageStart := time.Now()
-	var avoidNs time.Duration
-	avoiding := matrix != nil && s.proc.opts.Avoidance != AvoidOff
-	kernel := s.proc.metric.Kernel()
-	filters := s.quantFilters(page, active, sc.filters)
-	var calcs, abandoned int64
-	startFiltered := stats.QuantFiltered
-	known := sc.known
-	qds := sc.qds[:len(active)]
-	for i, st := range active {
-		qds[i] = st.queryDist()
-	}
-	var raise []float64
-	if avoiding {
-		raise = lemma1Raises(activeIdx, matrix, qds, sc.raise)
-	}
-	for it := range page.Items {
-		item := &page.Items[it]
-		var codes []uint8
-		if filters != nil {
-			codes = page.Cols.ItemCodes(it)
+// evalRows is evalItems' blocked (SoA) path: one row-kernel call per item
+// evaluates the whole active set against the item's block row, so the row
+// — just loaded into cache — is reused m times and the kernel dispatch is
+// devirtualized once per page instead of once per pair. Only reached when
+// rowPath holds, under which the results are bit-identical to the per-pair
+// path (see rowPath); with f32 the distances instead carry the block's
+// documented input-rounding error and the caller has opted into that via
+// LayoutF32. The qds limits are live or snapshot exactly as in evalItems.
+func (s *Session) evalRows(pp *pagePass, lo, hi int, out []float64, sc *pageScratch) (c passCounts) {
+	n := len(pp.active)
+	b, rows, qds := pp.page.Cols, s.proc.rows, pp.qds
+	dOut, wOut := sc.rowD[:n], sc.rowW[:n]
+	for it := lo; it < hi; it++ {
+		if out != nil {
+			dOut = out[it*n : (it+1)*n]
 		}
-		known = known[:0]
-		for a, st := range active {
-			pos := activeIdx[a]
-			qd := qds[a]
-			limit := qd
-			if avoiding {
-				t0 := time.Now()
-				if s.avoidable(qd, pos, known, matrix, &stats.AvoidTries) {
-					stats.Avoided++
-					avoidNs += time.Since(t0)
-					continue
-				}
-				limit = abandonLimit(qd, raise[a], len(known))
-				avoidNs += time.Since(t0)
+		var ab int
+		if pp.f32 {
+			ab = rows.RowWithinF32(pp.q32, b, it, qds, dOut, wOut)
+		} else {
+			ab = rows.RowWithin(pp.qvecs, b, it, qds, dOut, wOut)
+		}
+		c.calcs += int64(n)
+		c.abandoned += int64(ab)
+		if ex := pp.ex; ex != nil {
+			for a, w := range wOut {
+				ex.prof[pp.activeIdx[a]].attributeCalc(w)
 			}
-			if filters != nil {
-				if f := filters[a]; f != nil && f.Exceeds(codes, qd) {
-					stats.QuantFiltered++
-					continue
+		}
+		if out != nil {
+			for a, w := range wOut {
+				if !w {
+					dOut[a] = skippedDist
 				}
 			}
-			d, within := kernel.DistanceWithin(st.q.Vec, item.Vec, limit)
-			calcs++
-			if avoiding {
-				known = append(known, knownDist{d: d, idx: int32(pos)})
-			}
-			if within {
-				if st.answers.Consider(item.ID, d) {
-					wasInf := math.IsInf(qd, 1)
-					qds[a] = st.queryDist()
-					if avoiding && wasInf && !math.IsInf(qds[a], 1) {
-						row := matrix[pos]
-						for j, p := range activeIdx {
-							if t := row[p] + qds[a]; t > raise[j] {
-								raise[j] = t
-							}
-						}
-					}
-				}
-			} else {
-				abandoned++
+			continue
+		}
+		if ab == n {
+			continue // no lane within: nothing to Consider
+		}
+		id := pp.page.Items[it].ID
+		for a, st := range pp.active {
+			if wOut[a] && st.answers.Consider(id, dOut[a]) {
+				qds[a] = st.queryDist()
 			}
 		}
 	}
-	s.proc.metric.AddCalls(calcs, abandoned)
-	s.proc.metric.AddFiltered(stats.QuantFiltered - startFiltered)
-	tr.Observe(obs.PhaseAvoid, avoidNs)
-	if kernelDur := time.Since(pageStart) - avoidNs; kernelDur > 0 {
-		tr.Observe(obs.PhaseKernel, kernelDur)
-	} else {
-		tr.Observe(obs.PhaseKernel, 0)
-	}
+	return c
 }
 
 // maxAvoidProbes caps how many known distances one avoidance decision
@@ -941,37 +896,37 @@ const maxAvoidProbes = 8
 
 // avoidable implements Definition 5 via Lemmas 1 and 2: the calculation of
 // dist(Q_i, O) is avoidable if some already-known dist(Q_j, O) proves
-// dist(Q_i, O) > QueryDist(Q_i). Strict inequalities are used so that
-// boundary answers (dist exactly equal to the query distance) are never
-// lost.
+// dist(Q_i, O) > QueryDist(Q_i). row is Q_i's query-distance matrix row.
+// Strict inequalities are used so that boundary answers (dist exactly
+// equal to the query distance) are never lost.
 //
 //	Lemma 1: dist(O,Qj) - dist(Qi,Qj) > QueryDist(Qi)  =>  avoid
 //	Lemma 2: dist(Qi,Qj) - dist(O,Qj) > QueryDist(Qi)  =>  avoid
-func (s *Session) avoidable(qd float64, pos int, known []knownDist, matrix [][]float64, tries *int64) bool {
-	row := matrix[pos]
-	mode := s.proc.opts.Avoidance
+//
+// It also reports which lemma fired (Lemma 1 is tested first, so under
+// AvoidBoth a pair satisfying both is Lemma 1's) and how many probes the
+// decision spent.
+func (s *Session) avoidable(qd float64, row []float64, known []knownDist) (avoided, byLemma1 bool, tries int64) {
+	// A lemma switched off by the mode gets an infinite threshold, which
+	// no finite difference exceeds: the probe loop then needs no per-probe
+	// mode test.
+	q1, q2 := qd, qd
+	switch s.proc.opts.Avoidance {
+	case AvoidLemma1:
+		q2 = math.Inf(1)
+	case AvoidLemma2:
+		q1 = math.Inf(1)
+	}
 	if len(known) > maxAvoidProbes {
 		known = known[:maxAvoidProbes]
 	}
-	for _, k := range known {
-		*tries++
+	for i, k := range known {
 		mij := row[k.idx]
-		switch mode {
-		case AvoidBoth:
-			if k.d-mij > qd || mij-k.d > qd {
-				return true
-			}
-		case AvoidLemma1:
-			if k.d-mij > qd {
-				return true
-			}
-		case AvoidLemma2:
-			if mij-k.d > qd {
-				return true
-			}
+		if k.d-mij > q1 || mij-k.d > q2 {
+			return true, k.d-mij > q1, int64(i + 1)
 		}
 	}
-	return false
+	return false, false, int64(len(known))
 }
 
 // abandonLimit returns the early-abandonment limit for the distance between
@@ -1066,16 +1021,7 @@ func (s *Session) multiQueryAllLocked(ctx context.Context, queries []Query) ([]*
 	}
 
 	var stats Stats
-	var matrixStart time.Time
-	if s.explain != nil {
-		matrixStart = time.Now()
-	}
-	sp := tr.Start(obs.PhaseMatrix)
 	matrix := s.queryDistMatrix(queries, &stats)
-	sp.End()
-	if ex := s.explain; ex != nil {
-		ex.observe(obs.PhaseMatrix, time.Since(matrixStart))
-	}
 	pos := identityPositions(len(states))
 
 	record := func() {

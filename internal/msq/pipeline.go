@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"metricdb/internal/engine"
 	"metricdb/internal/obs"
 	"metricdb/internal/store"
-	"metricdb/internal/vec"
 )
 
 // This file implements the intra-server parallel pipeline for multiple
@@ -171,13 +168,11 @@ func (s *Session) prefetch(plan []engine.PageRef, prefetchable []bool, out chan<
 
 // runPipeline is the concurrent counterpart of run()'s page loop. width is
 // the pipeline width (>= 2): the worker-pool size and the prefetch lookahead.
-// The coordinator checks ctx once per page barrier; on cancellation the
-// deferred done close aborts the prefetcher before the error returns.
-func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states []*queryState, matrix [][]float64, pos []int, stats *Stats, width int) error {
+// sc becomes worker 0's page scratch. The coordinator checks ctx once per
+// page barrier; on cancellation the deferred done close aborts the
+// prefetcher before the error returns.
+func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states []*queryState, matrix [][]float64, pos []int, stats *Stats, width int, sc *pageScratch) error {
 	first := states[0]
-	tr := s.proc.tracer
-	traced := tr.Enabled()
-	ex := s.explain
 
 	// Decide, from static state only, which plan references the prefetcher
 	// may read ahead of the coordinator. first.processed is snapshotted via
@@ -203,32 +198,29 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 
 	active := make([]*queryState, 0, len(states))
 	activePos := make([]int, 0, len(states))
-	scratch := newPageScratch(width, len(states))
+	scratch := make([]*pageScratch, width)
+	scratch[0] = sc
+	for w := 1; w < width; w++ {
+		scratch[w] = newPageScratch(len(states))
+	}
+	var dists []float64
 
 	for i, ref := range plan {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("msq: multiple query: %w", err)
 		}
 		var page *store.Page
-		var waitStart time.Time
-		if traced || ex != nil {
-			waitStart = time.Now()
-		}
 		if prefetchable[i] {
 			// The read condition of a prefetchable page cannot be
 			// invalidated (MinDist <= floor <= queryDist at all times), so
 			// the page is always consumed here — prune and processed were
 			// ruled out when prefetchable was computed.
+			waitStart := s.clock()
 			f, ok := <-out
 			if !ok || f.idx != i {
 				return fmt.Errorf("msq: pipeline prefetcher desynchronized at plan index %d", i)
 			}
-			if traced {
-				tr.ObserveSince(obs.PhasePageWait, waitStart)
-			}
-			if ex != nil {
-				ex.observe(obs.PhasePageWait, time.Since(waitStart))
-			}
+			s.observeSince(obs.PhasePageWait, waitStart)
 			if f.err != nil {
 				return fmt.Errorf("msq: multiple query: %w", f.err)
 			}
@@ -242,388 +234,65 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 				continue // already examined for Q1 in an earlier call
 			}
 			var err error
-			page, err = s.proc.eng.ReadPage(ref.ID)
+			page, err = s.readPage(ref.ID)
 			resume <- struct{}{} // read issued; prefetcher may run ahead again
-			if traced {
-				tr.ObserveSince(obs.PhasePageWait, waitStart)
-			}
-			if ex != nil {
-				ex.observe(obs.PhasePageWait, time.Since(waitStart))
-			}
 			if err != nil {
 				return fmt.Errorf("msq: multiple query: %w", err)
 			}
 		}
 
 		active, activePos = s.decideActive(ref.ID, states, pos, active, activePos)
-		stats.PageVisits += int64(len(active))
-		if ex != nil {
-			for _, p := range activePos {
-				ex.prof[p].pagesVisited.Add(1)
-			}
-		}
-
-		s.processPageConcurrent(pool, page, active, activePos, matrix, stats, width, scratch)
-
-		for _, st := range active {
-			st.processed[ref.ID] = struct{}{}
-		}
+		dists = s.processPageConcurrent(pool, page, active, activePos, matrix, stats, width, scratch, dists)
+		markProcessed(ref.ID, active)
 	}
 	return nil
 }
 
-// pageScratch holds per-page buffers reused across the plan loop; the page
-// barrier guarantees no worker touches dists/snap once forEachChunk
-// returns. qvecs/q32/filters are filled at the barrier and only read by
-// workers. known is per-worker avoidance scratch ("AvoidingDists") and
-// rowW the per-worker within-flag buffer of the row kernels: worker w
-// exclusively owns index w while it runs, so the buffers survive across
-// pages without locking or steady-state allocation.
-type pageScratch struct {
-	dists   []float64
-	snap    []float64
-	raise   []float64
-	qvecs   []vec.Vector
-	q32     [][]float32
-	filters []*vec.QuantFilter
-	known   [][]knownDist
-	rowW    [][]bool
-}
-
-func newPageScratch(width, nStates int) *pageScratch {
-	sc := &pageScratch{
-		known: make([][]knownDist, width),
-		rowW:  make([][]bool, width),
-	}
-	for w := range sc.known {
-		sc.known[w] = make([]knownDist, 0, nStates)
-		sc.rowW[w] = make([]bool, nStates)
-	}
-	return sc
-}
-
 // skippedDist marks an (item, query) slot whose distance was not fully
-// computed — either avoided by the triangle inequality or abandoned by the
-// bounded kernel. Proper metrics never produce NaN, so the sentinel cannot
-// collide with a computed distance.
+// computed — avoided by the triangle inequality, rejected by the quantized
+// filter, or abandoned by the bounded kernel. Proper metrics never produce
+// NaN, so the sentinel cannot collide with a computed distance.
 var skippedDist = math.NaN()
 
 // processPageConcurrent evaluates one page against the active queries on the
 // worker pool and merges the results. Phase 1 partitions the page's items:
-// each worker computes (or avoids) the distances of its item range against
-// every active query, using the page-start snapshot of the pruning
-// distances both for the avoidance lemmas and for the bounded kernel's
-// abandonment limit (abandonLimit) — so every phase-1 decision is a pure
-// function of (page, snapshot, matrix) and identical across all widths
-// >= 2. Phase 2
+// each worker runs the page evaluator (evalItems) on its item range into
+// the dists matrix, with the page pass built at the barrier — so the
+// pruning distances for the avoidance lemmas and the bounded kernel's
+// abandonment limits are the page-start snapshot, every phase-1 decision is
+// a pure function of (page, snapshot, matrix), and it is identical across
+// all widths >= 2. Each chunk is timed as a whole into PhaseKernel. Phase 2
 // shards the merge by query: each answer list is fed its page results in
 // item order under the state's lock, reproducing the exact Consider
-// sequence the sequential path would issue for that query. An abandoned
+// sequence the sequential path would issue for that query. A skipped
 // distance exceeds the snapshot bound, which is an upper bound on the
 // query's final pruning distance, so the skipped item could never have
-// entered the answer list at any width.
-func (s *Session) processPageConcurrent(pool *workerPool, page *store.Page, active []*queryState, activeIdx []int, matrix [][]float64, stats *Stats, width int, scratch *pageScratch) {
+// entered the answer list at any width. dists is the reusable phase-1
+// buffer; the possibly grown buffer is returned.
+func (s *Session) processPageConcurrent(pool *workerPool, page *store.Page, active []*queryState, activeIdx []int, matrix [][]float64, stats *Stats, width int, scratch []*pageScratch, dists []float64) []float64 {
+	s.visit(activeIdx, stats)
 	nItems, nActive := len(page.Items), len(active)
 	if nItems == 0 || nActive == 0 {
-		return
+		return dists
 	}
-	mode := s.proc.opts.Avoidance
+	if cap(dists) < nItems*nActive {
+		dists = make([]float64, nItems*nActive)
+	}
+	dists = dists[:nItems*nActive]
+	pp := s.newPass(page, active, activeIdx, matrix, scratch[0])
 
-	if cap(scratch.dists) < nItems*nActive {
-		scratch.dists = make([]float64, nItems*nActive)
-	}
-	if cap(scratch.snap) < nActive {
-		scratch.snap = make([]float64, nActive)
-		scratch.raise = make([]float64, nActive)
-		scratch.qvecs = make([]vec.Vector, nActive)
-		scratch.q32 = make([][]float32, nActive)
-		scratch.filters = make([]*vec.QuantFilter, nActive)
-	}
-	dists := scratch.dists[:nItems*nActive]
-	snap := scratch.snap[:nActive]
-	for a, st := range active {
-		snap[a] = st.queryDist()
-	}
-
-	avoiding := matrix != nil && mode != AvoidOff
-	var raise []float64
-	if avoiding {
-		// Derived from the page-start snapshot only, like every other
-		// phase-1 input, so abandonment decisions stay snapshot-pure.
-		raise = lemma1Raises(activeIdx, matrix, snap, scratch.raise)
-	}
-	kernel := s.proc.metric.Kernel()
-	tr := s.proc.tracer
-	traced := tr.Enabled()
-	// Layout dispatch happens at the barrier: the row inputs (query
-	// vectors, f32 roundings, quantized filters) are gathered here by the
-	// coordinator, so workers only read them. The row kernels take the
-	// page-start snapshot as their limits — exactly the limit every
-	// per-pair chunk twin below uses — so at any fixed width >= 2 the row
-	// path's distances, within flags and abandon points are bit-identical
-	// to the per-pair path's (for float64; f32 is the opted-in rounding).
-	useRows, rowsF32 := s.rowPath(page, avoiding, nActive)
-	rowsK := s.proc.rows
-	var qvecs []vec.Vector
-	var q32 [][]float32
-	if useRows {
-		if rowsF32 {
-			q32 = scratch.q32[:nActive]
-			for a, st := range active {
-				q32[a] = st.f32()
-			}
-		} else {
-			qvecs = scratch.qvecs[:nActive]
-			for a, st := range active {
-				qvecs[a] = st.q.Vec
-			}
-		}
-	}
-	filters := s.quantFilters(page, active, scratch.filters)
-	var tries, avoided, filteredN atomic.Int64
+	var mu sync.Mutex
 	pool.forEachChunk(nItems, width, func(worker, lo, hi int) {
-		known := scratch.known[worker][:0]
-		var localTries, localAvoided, localCalcs, localAbandoned int64
-		if useRows {
-			// Row chunk: one kernel call per item covers the whole active
-			// set. Shared by all observation modes — attribution is per
-			// item, off the per-pair fast path.
-			ex := s.explain
-			observing := ex != nil || traced
-			var chunkStart time.Time
-			if observing {
-				chunkStart = time.Now()
-			}
-			wOut := scratch.rowW[worker][:nActive]
-			b := page.Cols
-			for it := lo; it < hi; it++ {
-				row := dists[it*nActive : (it+1)*nActive]
-				var ab int
-				if rowsF32 {
-					ab = rowsK.RowWithinF32(q32, b, it, snap, row, wOut)
-				} else {
-					ab = rowsK.RowWithin(qvecs, b, it, snap, row, wOut)
-				}
-				localCalcs += int64(nActive)
-				localAbandoned += int64(ab)
-				if ex != nil {
-					for a := range wOut {
-						prof := &ex.prof[activeIdx[a]]
-						prof.distCalcs.Add(1)
-						if !wOut[a] {
-							prof.abandoned.Add(1)
-						}
-					}
-				}
-				for a := range wOut {
-					if !wOut[a] {
-						row[a] = skippedDist
-					}
-				}
-			}
-			s.proc.metric.AddCalls(localCalcs, localAbandoned)
-			if observing {
-				kernelNs := time.Since(chunkStart)
-				if ex != nil {
-					ex.observe(obs.PhaseKernel, kernelNs)
-				}
-				if traced {
-					tr.Observe(obs.PhaseKernel, kernelNs)
-				}
-			}
-			return
-		}
-		if ex := s.explain; ex != nil {
-			// Explain chunk twin: the same snapshot-pure decisions as the
-			// loops below, plus per-query profile attribution and the
-			// traced twin's avoid/kernel clock split. The known list is
-			// per item and chunking is by item ranges, so attribution is
-			// identical at every width >= 2. Keep in lockstep.
-			chunkStart := time.Now()
-			var avoidNs time.Duration
-			for it := lo; it < hi; it++ {
-				item := &page.Items[it]
-				var codes []uint8
-				if filters != nil {
-					codes = page.Cols.ItemCodes(it)
-				}
-				row := dists[it*nActive : (it+1)*nActive]
-				known = known[:0]
-				for a := range active {
-					pos := activeIdx[a]
-					prof := &ex.prof[pos]
-					limit := snap[a]
-					if avoiding {
-						t0 := time.Now()
-						var pairTries int64
-						av, byL1 := s.avoidableExplain(snap[a], pos, known, matrix, &pairTries)
-						localTries += pairTries
-						prof.tries.Add(pairTries)
-						if av {
-							localAvoided++
-							if byL1 {
-								prof.lemma1.Add(1)
-							} else {
-								prof.lemma2.Add(1)
-							}
-							row[a] = skippedDist
-							avoidNs += time.Since(t0)
-							continue
-						}
-						limit = abandonLimit(snap[a], raise[a], len(known))
-						avoidNs += time.Since(t0)
-					}
-					if filters != nil {
-						if f := filters[a]; f != nil && f.Exceeds(codes, snap[a]) {
-							filteredN.Add(1)
-							prof.filtered.Add(1)
-							row[a] = skippedDist
-							continue
-						}
-					}
-					d, within := kernel.DistanceWithin(active[a].q.Vec, item.Vec, limit)
-					localCalcs++
-					prof.distCalcs.Add(1)
-					if avoiding {
-						known = append(known, knownDist{d: d, idx: int32(pos)})
-					}
-					if within {
-						row[a] = d
-					} else {
-						row[a] = skippedDist
-						localAbandoned++
-						prof.abandoned.Add(1)
-					}
-				}
-			}
-			s.proc.metric.AddCalls(localCalcs, localAbandoned)
-			tries.Add(localTries)
-			avoided.Add(localAvoided)
-			kernelNs := time.Since(chunkStart) - avoidNs
-			if kernelNs < 0 {
-				kernelNs = 0
-			}
-			ex.observe(obs.PhaseAvoid, avoidNs)
-			ex.observe(obs.PhaseKernel, kernelNs)
-			if traced {
-				tr.Observe(obs.PhaseAvoid, avoidNs)
-				tr.Observe(obs.PhaseKernel, kernelNs)
-			}
-			return
-		}
-		if traced {
-			// Traced twin of the loop below: the same snapshot-pure
-			// decisions, plus clock reads that split the chunk's wall time
-			// into the avoidance and kernel phases. Keep in lockstep with
-			// the untraced loop — the traced differential test pins that
-			// answers and counters are identical.
-			chunkStart := time.Now()
-			var avoidNs time.Duration
-			for it := lo; it < hi; it++ {
-				item := &page.Items[it]
-				var codes []uint8
-				if filters != nil {
-					codes = page.Cols.ItemCodes(it)
-				}
-				row := dists[it*nActive : (it+1)*nActive]
-				known = known[:0]
-				for a := range active {
-					limit := snap[a]
-					if avoiding {
-						t0 := time.Now()
-						if s.avoidable(snap[a], activeIdx[a], known, matrix, &localTries) {
-							localAvoided++
-							row[a] = skippedDist
-							avoidNs += time.Since(t0)
-							continue
-						}
-						limit = abandonLimit(snap[a], raise[a], len(known))
-						avoidNs += time.Since(t0)
-					}
-					if filters != nil {
-						if f := filters[a]; f != nil && f.Exceeds(codes, snap[a]) {
-							filteredN.Add(1)
-							row[a] = skippedDist
-							continue
-						}
-					}
-					d, within := kernel.DistanceWithin(active[a].q.Vec, item.Vec, limit)
-					localCalcs++
-					if avoiding {
-						known = append(known, knownDist{d: d, idx: int32(activeIdx[a])})
-					}
-					if within {
-						row[a] = d
-					} else {
-						row[a] = skippedDist
-						localAbandoned++
-					}
-				}
-			}
-			s.proc.metric.AddCalls(localCalcs, localAbandoned)
-			tries.Add(localTries)
-			avoided.Add(localAvoided)
-			tr.Observe(obs.PhaseAvoid, avoidNs)
-			if d := time.Since(chunkStart) - avoidNs; d > 0 {
-				tr.Observe(obs.PhaseKernel, d)
-			} else {
-				tr.Observe(obs.PhaseKernel, 0)
-			}
-			return
-		}
-		for it := lo; it < hi; it++ {
-			item := &page.Items[it]
-			var codes []uint8
-			if filters != nil {
-				codes = page.Cols.ItemCodes(it)
-			}
-			row := dists[it*nActive : (it+1)*nActive]
-			known = known[:0]
-			for a := range active {
-				limit := snap[a]
-				if avoiding {
-					if s.avoidable(snap[a], activeIdx[a], known, matrix, &localTries) {
-						localAvoided++
-						row[a] = skippedDist
-						continue
-					}
-					limit = abandonLimit(snap[a], raise[a], len(known))
-				}
-				if filters != nil {
-					if f := filters[a]; f != nil && f.Exceeds(codes, snap[a]) {
-						filteredN.Add(1)
-						row[a] = skippedDist
-						continue
-					}
-				}
-				d, within := kernel.DistanceWithin(active[a].q.Vec, item.Vec, limit)
-				localCalcs++
-				if avoiding {
-					known = append(known, knownDist{d: d, idx: int32(activeIdx[a])})
-				}
-				if within {
-					row[a] = d
-				} else {
-					row[a] = skippedDist
-					localAbandoned++
-				}
-			}
-		}
-		s.proc.metric.AddCalls(localCalcs, localAbandoned)
-		tries.Add(localTries)
-		avoided.Add(localAvoided)
+		start := s.clock()
+		c := s.evalItems(&pp, lo, hi, dists, scratch[worker])
+		s.observeSince(obs.PhaseKernel, start)
+		mu.Lock()
+		s.settle(c, stats)
+		mu.Unlock()
 	})
-	stats.AvoidTries += tries.Load()
-	stats.Avoided += avoided.Load()
-	stats.QuantFiltered += filteredN.Load()
-	s.proc.metric.AddFiltered(filteredN.Load())
 
 	pool.forEachChunk(nActive, width, func(_, lo, hi int) {
-		ex := s.explain
-		var mergeStart time.Time
-		if traced || ex != nil {
-			mergeStart = time.Now()
-		}
+		start := s.clock()
 		for a := lo; a < hi; a++ {
 			st := active[a]
 			st.mu.Lock()
@@ -634,11 +303,7 @@ func (s *Session) processPageConcurrent(pool *workerPool, page *store.Page, acti
 			}
 			st.mu.Unlock()
 		}
-		if traced {
-			tr.ObserveSince(obs.PhaseMerge, mergeStart)
-		}
-		if ex != nil {
-			ex.observe(obs.PhaseMerge, time.Since(mergeStart))
-		}
+		s.observeSince(obs.PhaseMerge, start)
 	})
+	return dists
 }

@@ -35,7 +35,7 @@ import (
 // Phase identifies one stage of query processing whose latency is
 // histogrammed separately. The taxonomy follows the life of a multiple
 // similarity query: plan the pages, build the query-distance matrix, then
-// per page fetch/wait, kernel evaluation, avoidance checks and answer
+// per page fetch/wait, evaluation (avoidance checks and kernels) and answer
 // merging — plus the serving layer's per-server calls and wire codec work.
 type Phase uint8
 
@@ -54,12 +54,12 @@ const (
 	// PhaseMatrix is the inter-query distance matrix build (§5.2's
 	// quadratic-in-m initialization overhead).
 	PhaseMatrix
-	// PhaseKernel is the per-page distance-kernel evaluation: the summed
-	// DistanceWithin time of one page's (item, query) pairs.
+	// PhaseKernel is the evaluation of one page (in the pipeline, one
+	// chunk of a page's items) against its active queries, timed as a
+	// whole: Lemma-1/2 avoidance checks, bounded distance kernels and,
+	// on the sequential path, the inline answer-list merge. No clock is
+	// read per (item, query) pair.
 	PhaseKernel
-	// PhaseAvoid is the per-page Lemma-1/2 work: the summed time of the
-	// triangle-inequality probes (avoidable) for one page.
-	PhaseAvoid
 	// PhaseMerge is the per-query merge of one page's results into the
 	// answer lists (the pipeline's phase 2; the sequential path merges
 	// inline and charges it to PhaseKernel).
@@ -91,7 +91,6 @@ var phaseNames = [NumPhases]string{
 	"plan",
 	"matrix",
 	"kernel",
-	"avoid",
 	"merge",
 	"server_call",
 	"wire_decode",

@@ -12,9 +12,9 @@ import (
 // instrumentation pattern the hot loops use (a hoisted `tr != nil` test per
 // page plus clock reads and observations guarded behind it) must cost
 // <= 2 % over the bare kernel loop of `msqbench -experiment kernels`'s hot
-// path. The measurement mirrors processPage at the realistic page shape —
-// a 32 KB page holds ~256 dim-16 vectors and each page is evaluated against
-// every active query of the batch — with the disabled-tracer bookkeeping
+// path. The measurement mirrors msq's page evaluator at the realistic page
+// shape — a 32 KB page holds ~256 dim-16 vectors and each page is evaluated
+// against every active query of the batch — with the disabled-tracer bookkeeping
 // around each page exactly as the instrumented loop performs it. The hooks
 // run at page granularity, so their cost amortizes over items x queries;
 // smaller pages or narrower batches only lower the absolute overhead.
@@ -69,7 +69,8 @@ func TestDisabledHookOverhead(t *testing.T) {
 	}
 	// hooked is the loop as instrumented: a possibly-nil tracer, one
 	// hoisted enabled test per page, and all clock reads and observations
-	// guarded behind it — the exact pattern the msq page loops use.
+	// guarded behind it — the pattern of msq's page pass, which reads the
+	// clock around a whole page (page_wait, kernel) and never per pair.
 	var tr *Tracer
 	hooked := func() {
 		for p := 0; p < nPages; p++ {
