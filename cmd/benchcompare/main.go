@@ -7,8 +7,13 @@
 //	benchcompare [-tolerance 0.10] [-speedup-tolerance 0.25] baseline.json fresh.json [...]
 //
 // The two documents of each pair are walked in lockstep and compared
-// metric by metric, keyed by JSON field name. Only scale-free metrics are
-// judged, so the comparison is meaningful across machines:
+// metric by metric, keyed by JSON field name. Rows of a result table (an
+// array of objects) are matched on a row key — the row's string-valued
+// fields plus the axis fields dim, m, width, servers and abandon_rate —
+// so a row inserted, removed or reordered by newer code still compares
+// against its own baseline. When those keys do not tell the baseline rows
+// apart, rows pair by index. Only scale-free metrics are judged, so the
+// comparison is meaningful across machines:
 //
 //   - identity verdicts ("identical", "stable", "improved"): a
 //     true-to-false flip is always a regression, tolerance does not apply;
@@ -24,8 +29,11 @@
 // scale-free across machines but noisy run to run on a shared box — so
 // they are judged against the wider -speedup-tolerance; the deterministic
 // counters and verdicts use the tight -tolerance. A judged metric present
-// in the baseline but missing from the fresh document is a regression;
-// fields added by newer code are ignored, so baselines age gracefully.
+// in the baseline but missing from the fresh document is a regression, and
+// so is a baseline row with no matching fresh row (reported once, by its
+// key); fields and rows added by newer code are ignored, and so are
+// entries dropped from arrays that hold no judged metric (an axis list),
+// so baselines age gracefully.
 //
 // Exit codes: 0 all pairs within tolerance, 1 regression detected, 2
 // usage or unreadable/corrupt input, 3 a baseline file does not exist —
@@ -156,8 +164,8 @@ func (c *comparer) fail(path, format string, args ...any) {
 }
 
 // walk descends base and fresh in lockstep. Objects are matched by key,
-// arrays by index (rows of one experiment's result table keep their order
-// across runs). Leaves are judged only when their key is classified.
+// arrays row by row (see walkRows). Leaves are judged only when their key
+// is classified.
 func (c *comparer) walk(path string, base, fresh any) {
 	switch b := base.(type) {
 	case map[string]any:
@@ -183,12 +191,7 @@ func (c *comparer) walk(path string, base, fresh any) {
 			c.fail(path, "array in baseline, %T in fresh", fresh)
 			return
 		}
-		if len(f) < len(b) {
-			c.fail(path, "baseline has %d entries, fresh only %d", len(b), len(f))
-		}
-		for i := 0; i < len(b) && i < len(f); i++ {
-			c.walk(fmt.Sprintf("%s[%d]", path, i), b[i], f[i])
-		}
+		c.walkRows(path, b, f)
 	case bool:
 		key := leafKey(path)
 		if !boolMetrics[key] {
@@ -231,6 +234,115 @@ func (c *comparer) walk(path string, base, fresh any) {
 			c.fail(path, "%g -> %g (-%.1f%%, tolerance %.0f%%)", b, fv, (1-fv/b)*100, tol*100)
 		}
 	}
+}
+
+// axisFields are the numeric fields that, next to the string-valued ones,
+// identify a row of a result table.
+var axisFields = map[string]bool{"dim": true, "m": true, "width": true, "servers": true, "abandon_rate": true}
+
+// walkRows pairs the rows of two arrays. Object rows whose keys (rowKey)
+// are unique within the baseline are matched on them, and the path keeps
+// the baseline index; otherwise rows pair by index.
+func (c *comparer) walkRows(path string, base, fresh []any) {
+	fields := keyFields(base)
+	baseKeys := make(map[string]bool, len(base))
+	keyed := fields != nil
+	for _, row := range base {
+		k, ok := rowKey(row, fields)
+		if !ok || baseKeys[k] {
+			keyed = false
+			break
+		}
+		baseKeys[k] = true
+	}
+	if !keyed {
+		if len(fresh) < len(base) && judged(path, base[len(fresh):]) {
+			c.fail(path, "baseline has %d entries, fresh only %d", len(base), len(fresh))
+		}
+		for i := 0; i < len(base) && i < len(fresh); i++ {
+			c.walk(fmt.Sprintf("%s[%d]", path, i), base[i], fresh[i])
+		}
+		return
+	}
+	byKey := make(map[string]any, len(fresh))
+	for i := len(fresh) - 1; i >= 0; i-- { // the first fresh row with a key wins
+		if k, ok := rowKey(fresh[i], fields); ok {
+			byKey[k] = fresh[i]
+		}
+	}
+	for i, row := range base {
+		k, _ := rowKey(row, fields)
+		sub := fmt.Sprintf("%s[%d]", path, i)
+		if f, ok := byKey[k]; ok {
+			c.walk(sub, row, f)
+		} else {
+			c.fail(sub, "baseline row {%s} has no match in fresh", k)
+		}
+	}
+}
+
+// keyFields returns the sorted names of the baseline rows' key fields
+// (string-valued or axis fields), or nil when some row is not an object.
+// Fresh rows are keyed on the same names, so a field newer code adds does
+// not change their keys.
+func keyFields(rows []any) []string {
+	set := map[string]bool{}
+	for _, row := range rows {
+		obj, ok := row.(map[string]any)
+		if !ok {
+			return nil
+		}
+		for k, v := range obj {
+			if _, isString := v.(string); isString || axisFields[k] {
+				set[k] = true
+			}
+		}
+	}
+	fields := make([]string, 0, len(set))
+	for k := range set {
+		fields = append(fields, k)
+	}
+	sort.Strings(fields)
+	return fields
+}
+
+// rowKey renders row's values of fields as "name=value,..."; ok is false
+// when row is not an object.
+func rowKey(row any, fields []string) (key string, ok bool) {
+	obj, ok := row.(map[string]any)
+	if !ok {
+		return "", false
+	}
+	parts := make([]string, 0, len(fields))
+	for _, k := range fields {
+		if v, present := obj[k]; present {
+			parts = append(parts, fmt.Sprintf("%s=%v", k, v))
+		}
+	}
+	return strings.Join(parts, ","), true
+}
+
+// judged reports whether v, found at path, holds any judged metric — a
+// missing baseline entry without one (an axis list, say) loses nothing.
+func judged(path string, v any) bool {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, e := range x {
+			if judged(path+"/"+k, e) {
+				return true
+			}
+		}
+		return false
+	case []any:
+		for _, e := range x {
+			if judged(path, e) {
+				return true
+			}
+		}
+		return false
+	}
+	key := leafKey(path)
+	return boolMetrics[key] || higherWorse[key] || lowerWorse[key]
 }
 
 func leafKey(path string) string {

@@ -159,3 +159,78 @@ func TestRegressionLinesNameBaselineAndKey(t *testing.T) {
 		t.Errorf("regression lines missing metric paths: %v", regressions)
 	}
 }
+
+// TestCompareMatchesInsertedRowByKey: a row inserted mid-table must not
+// shift every later row onto the wrong baseline.
+func TestCompareMatchesInsertedRowByKey(t *testing.T) {
+	base := write(t, "base.json", `{"results":[
+		{"dim":4,"layout":"aos","dist_calcs":100,"identical":true},
+		{"dim":4,"layout":"soa","dist_calcs":200,"identical":true}]}`)
+	fresh := write(t, "fresh.json", `{"results":[
+		{"dim":4,"layout":"aos","dist_calcs":100,"identical":true},
+		{"dim":4,"layout":"rows","dist_calcs":900,"identical":false},
+		{"dim":4,"layout":"soa","dist_calcs":200,"identical":true}]}`)
+	regressions, compared, err := compareFiles(base, fresh, 0.10, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regressions) != 0 {
+		t.Errorf("inserted row caused regressions: %v", regressions)
+	}
+	if compared != 4 {
+		t.Errorf("compared %d metrics, want 4", compared)
+	}
+}
+
+// TestCompareMatchesReorderedRowsByKey: the same rows in a different order
+// compare clean.
+func TestCompareMatchesReorderedRowsByKey(t *testing.T) {
+	base := write(t, "base.json", `[
+		{"engine":"scan","m":1,"dist_calcs":100},
+		{"engine":"scan","m":8,"dist_calcs":300},
+		{"engine":"xtree","m":1,"dist_calcs":50}]`)
+	fresh := write(t, "fresh.json", `[
+		{"engine":"xtree","m":1,"dist_calcs":50},
+		{"engine":"scan","m":1,"dist_calcs":100},
+		{"engine":"scan","m":8,"dist_calcs":300}]`)
+	regressions, compared, err := compareFiles(base, fresh, 0.10, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regressions) != 0 || compared != 3 {
+		t.Errorf("reordered rows: %d compared, regressions %v", compared, regressions)
+	}
+}
+
+// TestCompareReportsRemovedRowByKey: a baseline row with no fresh match is
+// one regression naming the row's key, not a cascade of false ones.
+func TestCompareReportsRemovedRowByKey(t *testing.T) {
+	base := write(t, "base.json", `{"results":[
+		{"dim":4,"layout":"aos","dist_calcs":100},
+		{"dim":4,"layout":"f32","dist_calcs":900},
+		{"dim":4,"layout":"soa","dist_calcs":100}]}`)
+	fresh := write(t, "fresh.json", `{"results":[
+		{"dim":4,"layout":"aos","dist_calcs":100},
+		{"dim":4,"layout":"soa","dist_calcs":100}]}`)
+	regressions, _, err := compareFiles(base, fresh, 0.10, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regressions) != 1 || !strings.Contains(regressions[0], "{dim=4,layout=f32}") {
+		t.Errorf("regressions = %v, want one naming the removed f32 row", regressions)
+	}
+}
+
+// TestCompareIgnoresShrunkAxisList: an array that holds no judged metric
+// (a list of sweep axis values) may shrink without a regression.
+func TestCompareIgnoresShrunkAxisList(t *testing.T) {
+	base := write(t, "base.json", `{"layouts":["aos","soa","f32"],"speedup":[2.0,3.0]}`)
+	fresh := write(t, "fresh.json", `{"layouts":["aos","soa"],"speedup":[2.0]}`)
+	regressions, _, err := compareFiles(base, fresh, 0.10, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regressions) != 1 || !strings.Contains(regressions[0], "/speedup: baseline has 2 entries") {
+		t.Errorf("regressions = %v, want only the shrunk speedup array", regressions)
+	}
+}

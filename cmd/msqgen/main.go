@@ -9,8 +9,7 @@
 //	msqgen -out data.dir -kind uniform|nearuniform|clustered
 //	       [-format dir|gob] [-pagecap 0] [-n 100000] [-dim 20]
 //	       [-clusters 10] [-spread 0.05] [-intrinsic 8] [-histogram]
-//	       [-noise 0.0] [-seed 1] [-layout aos|soa|f32|quant] [-quantbits 8]
-//	       [-advise]
+//	       [-noise 0.0] [-seed 1] [-layout aos|soa] [-advise]
 //
 // -advise additionally runs the engine advisor on the generated items and
 // prints the recommendation; advisor warnings (estimator fallbacks) are
@@ -18,10 +17,10 @@
 // ranking is never printed silently.
 //
 // -layout soa writes version-2 columnar page records (contiguous float64
-// blocks per page); f32 adds the float32 sibling; quant adds VA-file-style
-// quantized codes at -quantbits bits per dimension. Version-1 readers are
-// unaffected: OpenStored columnizes on read when the file lacks a
-// representation the session's layout wants.
+// blocks per page), which open straight into the blocked row kernels.
+// Version-1 datasets stay readable: OpenStored with layout soa columnizes
+// them on read. Datasets written in the retired f32 or quant layouts are
+// rejected at open; rewrite them with -layout soa.
 package main
 
 import (
@@ -49,18 +48,17 @@ func main() {
 		histogram = flag.Bool("histogram", false, "L1-normalize to histograms (clustered kind)")
 		noise     = flag.Float64("noise", 0, "noise fraction (clustered) or noise level (nearuniform)")
 		seed      = flag.Int64("seed", 1, "random seed")
-		layout    = flag.String("layout", "aos", "page representation for -format dir: aos, soa, f32 or quant")
-		quantbits = flag.Int("quantbits", 0, "bits per dimension for -layout quant (0 selects 8)")
+		layout    = flag.String("layout", "aos", "page representation for -format dir: aos or soa")
 		advise    = flag.Bool("advise", false, "print an engine recommendation for the generated dataset")
 	)
 	flag.Parse()
-	if err := run(*out, *format, *pagecap, *kind, *n, *dim, *clusters, *spread, *intrinsic, *histogram, *noise, *seed, *layout, *quantbits, *advise); err != nil {
+	if err := run(*out, *format, *pagecap, *kind, *n, *dim, *clusters, *spread, *intrinsic, *histogram, *noise, *seed, *layout, *advise); err != nil {
 		fmt.Fprintln(os.Stderr, "msqgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, format string, pagecap int, kind string, n, dim, clusters int, spread float64, intrinsic int, histogram bool, noise float64, seed int64, layout string, quantbits int, advise bool) error {
+func run(out, format string, pagecap int, kind string, n, dim, clusters int, spread float64, intrinsic int, histogram bool, noise float64, seed int64, layout string, advise bool) error {
 	if out == "" {
 		return fmt.Errorf("-out is required")
 	}
@@ -69,22 +67,8 @@ func run(out, format string, pagecap int, kind string, n, dim, clusters int, spr
 	case "", "aos":
 	case "soa":
 		save.Columnar = true
-	case "f32":
-		save.Columnar, save.F32 = true, true
-	case "quant":
-		save.Columnar = true
-		save.QuantBits = quantbits
-		if save.QuantBits == 0 {
-			save.QuantBits = 8
-		}
 	default:
-		return fmt.Errorf("unknown layout %q (want aos, soa, f32 or quant)", layout)
-	}
-	if quantbits != 0 && layout != "quant" {
-		return fmt.Errorf("-quantbits requires -layout quant")
-	}
-	if quantbits < 0 || quantbits > 8 {
-		return fmt.Errorf("-quantbits must be in [0, 8], got %d", quantbits)
+		return fmt.Errorf("unknown layout %q (want aos or soa)", layout)
 	}
 	var items []store.Item
 	var err error

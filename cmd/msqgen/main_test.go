@@ -24,7 +24,7 @@ func TestRunGeneratesAllKinds(t *testing.T) {
 	}
 	for _, c := range cases {
 		out := filepath.Join(dir, c.kind+".gob")
-		if err := run(out, "gob", 0, c.kind, 500, c.dim, 4, 0.05, 4, c.kind == "clustered", 0, 7, "aos", 0, false); err != nil {
+		if err := run(out, "gob", 0, c.kind, 500, c.dim, 4, 0.05, 4, c.kind == "clustered", 0, 7, "aos", false); err != nil {
 			t.Fatalf("%s: %v", c.kind, err)
 		}
 		items, err := dataset.ReadFile(out)
@@ -44,10 +44,10 @@ func TestRunDirFormatRoundTrip(t *testing.T) {
 	base := t.TempDir()
 	gobOut := filepath.Join(base, "ds.gob")
 	dirOut := filepath.Join(base, "ds.dir")
-	if err := run(gobOut, "gob", 0, "clustered", 400, 5, 4, 0.05, 0, false, 0.1, 9, "aos", 0, false); err != nil {
+	if err := run(gobOut, "gob", 0, "clustered", 400, 5, 4, 0.05, 0, false, 0.1, 9, "aos", false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dirOut, "dir", 16, "clustered", 400, 5, 4, 0.05, 0, false, 0.1, 9, "aos", 0, false); err != nil {
+	if err := run(dirOut, "dir", 16, "clustered", 400, 5, 4, 0.05, 0, false, 0.1, 9, "aos", false); err != nil {
 		t.Fatal(err)
 	}
 	fromGob, err := dataset.ReadAny(gobOut)
@@ -83,16 +83,16 @@ func TestRunDirFormatRoundTrip(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run("", "dir", 0, "uniform", 10, 2, 1, 0, 1, false, 0, 1, "aos", 0, false); err == nil {
+	if err := run("", "dir", 0, "uniform", 10, 2, 1, 0, 1, false, 0, 1, "aos", false); err == nil {
 		t.Error("missing -out accepted")
 	}
-	if err := run(filepath.Join(t.TempDir(), "x"), "dir", 0, "weird", 10, 2, 1, 0, 1, false, 0, 1, "aos", 0, false); err == nil {
+	if err := run(filepath.Join(t.TempDir(), "x"), "dir", 0, "weird", 10, 2, 1, 0, 1, false, 0, 1, "aos", false); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if err := run(filepath.Join(t.TempDir(), "x"), "tar", 0, "uniform", 10, 2, 1, 0, 1, false, 0, 1, "aos", 0, false); err == nil {
+	if err := run(filepath.Join(t.TempDir(), "x"), "tar", 0, "uniform", 10, 2, 1, 0, 1, false, 0, 1, "aos", false); err == nil {
 		t.Error("unknown format accepted")
 	}
-	if err := run(filepath.Join(t.TempDir(), "x"), "dir", 0, "nearuniform", 10, 2, 1, 0, 99, false, 0, 1, "aos", 0, false); err == nil {
+	if err := run(filepath.Join(t.TempDir(), "x"), "dir", 0, "nearuniform", 10, 2, 1, 0, 99, false, 0, 1, "aos", false); err == nil {
 		t.Error("bad intrinsic dimension accepted")
 	}
 }

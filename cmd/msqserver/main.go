@@ -7,7 +7,7 @@
 //
 //	msqserver -addr :7707 [-data file.gob|dataset-dir] [-mmap]
 //	          [-n 20000] [-dim 16]
-//	          [-engine scan|xtree|vafile|pivot|pmtree] [-layout aos|soa|f32|quant]
+//	          [-engine scan|xtree|vafile|pivot|pmtree] [-layout aos|soa]
 //	          [-concurrency 1]
 //	          [-max-conns 0] [-max-request-bytes 1048576]
 //	          [-read-timeout 0] [-write-timeout 10s] [-drain 5s]
@@ -93,7 +93,7 @@ func main() {
 		n        = flag.Int("n", 20000, "generated dataset size")
 		dim      = flag.Int("dim", 16, "generated dataset dimensionality")
 		engine   = flag.String("engine", "xtree", "physical organization: scan, xtree, vafile, pivot or pmtree")
-		layout   = flag.String("layout", "", "page layout: aos (default), soa, f32 or quant — soa/f32/quant run the blocked row kernels")
+		layout   = flag.String("layout", "", "page layout: aos (default) or soa — soa attaches float64 page blocks, which run the blocked row kernels")
 		width    = flag.Int("concurrency", 1, "intra-server pipeline width per query batch (1 = sequential)")
 
 		maxConns  = flag.Int("max-conns", 0, "concurrent connection limit (0 = unlimited)")
@@ -437,8 +437,6 @@ func newRegistry(tracer *obs.Tracer, db *metricdb.DB, srv *wire.Server, engine s
 		func() float64 { return float64(db.ProcessorStats().PartialAbandoned) })
 	reg.Counter("metricdb_distance_pivot_total", engLabel, "Distance calculations spent on pivot-table filtering (a partition of the distance budget).",
 		func() float64 { return float64(db.ProcessorStats().PivotDistCalcs) })
-	reg.Counter("metricdb_quant_filtered_total", "", "Candidates eliminated by quantized lower bounds without a full distance calculation.",
-		func() float64 { return float64(db.ProcessorStats().QuantFiltered) })
 
 	if rec := db.Calibration(); rec != nil {
 		eng := engine

@@ -303,7 +303,6 @@ func TestCalibrationEndToEnd(t *testing.T) {
 		`metricdb_advisor_fitted_ns{engine="scan",unit="dist_calc"}`,
 		`metricdb_advisor_fitted_ns{engine="scan",unit="time_scale"}`,
 		`metricdb_distance_pivot_total{engine="scan"}`,
-		"metricdb_quant_filtered_total",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -11,7 +11,6 @@ import (
 	"metricdb/internal/msq"
 	"metricdb/internal/obs"
 	"metricdb/internal/store"
-	"metricdb/internal/vec"
 )
 
 // EngineKind selects the physical data organization. The values mirror the
@@ -76,20 +75,14 @@ type Options struct {
 	Pivot *PivotOptions
 	// PMTree overrides PM-tree parameters; nil uses defaults.
 	PMTree *PMTreeOptions
-	// Layout selects the page representation the distance loops consume:
-	// "" or "aos" evaluates item vectors one at a time (the original
-	// path); "soa" materializes contiguous float64 blocks per page and
-	// runs the blocked row kernels over them, bit-identical to "aos" in
-	// answers and every statistic; "f32" additionally materializes a
-	// float32 sibling and uses it where rank-safe (distances differ by
-	// bounded rounding — see DESIGN.md); "quant" additionally quantizes
-	// each page to VA-file-style cell codes and pre-filters (query, item)
-	// pairs whose cell lower bound already exceeds the pruning radius,
-	// with answers and page reads bit-identical to "aos".
+	// Layout decides, once at build or open, whether pages carry a
+	// contiguous float64 block: "" or "aos" keeps one vector per item (the
+	// original path); "soa" attaches a block to every page. The distance
+	// loops run the blocked row kernels on any page with a block (when
+	// avoidance is off and the batch has m >= 4 queries), bit-identical to
+	// "aos" in answers and every statistic. A stored columnar dataset
+	// decodes its blocks whatever this says.
 	Layout string
-	// QuantBits is the bits per dimension of the "quant" layout's codes
-	// (0 selects 8). Setting it with any other layout is an error.
-	QuantBits int
 	// Mmap serves a stored database by memory-mapping its page file
 	// instead of issuing preads. Only OpenStored consults it; on platforms
 	// without mmap support the disk silently falls back to pread.
@@ -157,14 +150,10 @@ func (o Options) Validate() error {
 	if o.VAFileBits < 0 {
 		return fmt.Errorf("metricdb: VA-file bits must be >= 0 (0 selects the default), got %d", o.VAFileBits)
 	}
-	if _, err := parseLayout(o.Layout); err != nil {
-		return err
-	}
-	if o.QuantBits < 0 || o.QuantBits > 8 {
-		return fmt.Errorf("metricdb: quant bits must be in [0, 8] (0 selects 8), got %d", o.QuantBits)
-	}
-	if o.QuantBits != 0 && o.Layout != "quant" {
-		return fmt.Errorf("metricdb: QuantBits is only meaningful with Layout \"quant\", got layout %q", o.Layout)
+	switch o.Layout {
+	case "", "aos", "soa":
+	default:
+		return fmt.Errorf("metricdb: unknown layout %q (want aos or soa)", o.Layout)
 	}
 	if x := o.XTree; x != nil {
 		if x.DirFanout < 0 {
@@ -196,54 +185,13 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// parseLayout maps the public layout string onto the processor's enum.
-func parseLayout(s string) (msq.Layout, error) {
-	switch s {
-	case "", "aos":
-		return msq.LayoutAoS, nil
-	case "soa":
-		return msq.LayoutSoA, nil
-	case "f32":
-		return msq.LayoutF32, nil
-	case "quant":
-		return msq.LayoutQuant, nil
-	default:
-		return 0, fmt.Errorf("metricdb: unknown layout %q (want aos, soa, f32, or quant)", s)
-	}
-}
-
-// columnSpec translates the layout choice into the sibling representations
-// the engine must materialize on each page, building the quantization grid
-// from the data's coordinate bounds when the layout is "quant".
-func (o Options) columnSpec(items []Item, dim int) (store.ColumnSpec, error) {
-	layout, err := parseLayout(o.Layout)
-	if err != nil {
-		return store.ColumnSpec{}, err
-	}
-	switch layout {
-	case msq.LayoutSoA:
-		return store.ColumnSpec{Columnar: true}, nil
-	case msq.LayoutF32:
-		return store.ColumnSpec{Columnar: true, F32: true}, nil
-	case msq.LayoutQuant:
-		bits := o.QuantBits
-		if bits == 0 {
-			bits = 8
-		}
-		lo, hi := store.ItemCoordinateBounds(items, dim)
-		grid, err := vec.BuildQuantGrid(bits, lo, hi)
-		if err != nil {
-			return store.ColumnSpec{}, fmt.Errorf("metricdb: %w", err)
-		}
-		return store.ColumnSpec{Columnar: true, Quant: grid}, nil
-	default:
-		return store.ColumnSpec{}, nil
-	}
-}
+// columnar reports whether the layout attaches float64 blocks to pages.
+func (o Options) columnar() bool { return o.Layout == "soa" }
 
 // withDefaults resolves the zero and sentinel values of validated options
-// against a concrete database shape: nil Metric becomes Euclidean,
-// PageCapacity 0 derives from a 32 KB block at the data's dimensionality,
+// against a concrete database shape: nil Metric becomes Euclidean, an
+// empty Layout becomes "aos", PageCapacity 0 derives from a 32 KB block at
+// the data's dimensionality,
 // and the BufferPages sentinel (0 = the paper's 10 % default, negative =
 // unbuffered) is resolved into the returned concrete page count. The
 // returned options are fully explicit except BufferPages, which keeps its
@@ -255,6 +203,9 @@ func (o Options) withDefaults(dim, nItems int) (Options, int) {
 	}
 	if o.Engine == "" {
 		o.Engine = EngineScan
+	}
+	if o.Layout == "" {
+		o.Layout = "aos"
 	}
 	if o.PageCapacity == 0 {
 		o.PageCapacity = store.PageCapacityForBlockSize(32768, dim)
@@ -272,7 +223,7 @@ func (o Options) withDefaults(dim, nItems int) (Options, int) {
 // engineSpec translates resolved public options into the engine registry's
 // request — the module's only bridge to engine construction. The options
 // must already be defaulted (withDefaults); wrap may be nil.
-func (o Options) engineSpec(items []Item, dim, bufferPages int, columns store.ColumnSpec,
+func (o Options) engineSpec(items []Item, dim, bufferPages int,
 	wrap func(store.PageSource) (store.PageSource, error)) engines.Spec {
 	s := engines.Spec{
 		Kind:         engines.Kind(o.Engine),
@@ -281,7 +232,7 @@ func (o Options) engineSpec(items []Item, dim, bufferPages int, columns store.Co
 		Metric:       o.Metric,
 		PageCapacity: o.PageCapacity,
 		BufferPages:  bufferPages,
-		Columns:      columns,
+		Columnar:     o.columnar(),
 		WrapDisk:     wrap,
 		VAFileBits:   o.VAFileBits,
 	}
@@ -340,21 +291,12 @@ func Open(items []Item, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("metricdb: page capacity must be >= 1, got %d", opts.PageCapacity)
 	}
 
-	columns, err := opts.columnSpec(items, dim)
-	if err != nil {
-		return nil, err
-	}
-	layout, err := parseLayout(opts.Layout)
+	eng, err := engines.Build(opts.engineSpec(items, dim, bufferPages, nil))
 	if err != nil {
 		return nil, err
 	}
 
-	eng, err := engines.Build(opts.engineSpec(items, dim, bufferPages, columns, nil))
-	if err != nil {
-		return nil, err
-	}
-
-	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency, Layout: layout})
+	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency})
 	if err != nil {
 		return nil, err
 	}
@@ -544,8 +486,9 @@ type ProcessorStats struct {
 	Avoidance AvoidanceMode
 	// Concurrency is the effective intra-server pipeline width (>= 1).
 	Concurrency int
-	// Layout names the page representation the distance loops consume
-	// ("aos", "soa", "f32", or "quant").
+	// Layout names the page representation the database was built or
+	// opened with: "soa" when pages carry float64 blocks (Options.Layout
+	// "soa", or a stored columnar dataset), else "aos".
 	Layout string
 	// DistCalcs counts distance calculations, including ones abandoned
 	// mid-vector by the bounded kernel.
@@ -555,9 +498,6 @@ type ProcessorStats struct {
 	// PivotDistCalcs counts the query-to-pivot setup distances of the
 	// pivot-filtering engines (zero for engines without a pivot phase).
 	PivotDistCalcs int64
-	// QuantFiltered counts the (query, item) pairs lossy filters excluded
-	// without a distance calculation (quant layout, VA-file bounds).
-	QuantFiltered int64
 	// Calibration is the advisor calibration snapshot (without the sample
 	// ring); nil unless the DB was opened with Options.Calibrate.
 	Calibration *CalibrationStats
@@ -568,10 +508,9 @@ func (db *DB) ProcessorStats() ProcessorStats {
 	ps := ProcessorStats{
 		Avoidance:        db.proc.Options().Avoidance,
 		Concurrency:      db.proc.Concurrency(),
-		Layout:           db.proc.Options().Layout.String(),
+		Layout:           db.opts.Layout,
 		DistCalcs:        db.proc.Metric().Count(),
 		PartialAbandoned: db.proc.Metric().Abandoned(),
-		QuantFiltered:    db.proc.Metric().Filtered(),
 	}
 	if pc, ok := db.eng.(engine.PivotCoster); ok {
 		ps.PivotDistCalcs = pc.PivotDistCalcs()

@@ -70,8 +70,8 @@ type Spec struct {
 	PageCapacity int
 	// BufferPages is the concrete LRU buffer size; 0 disables buffering.
 	BufferPages int
-	// Columns selects sibling page representations (blocked/f32/quant).
-	Columns store.ColumnSpec
+	// Columnar materializes a contiguous float64 block on each page.
+	Columnar bool
 	// WrapDisk interposes on the freshly built disk (fault injection,
 	// persisted layouts); nil serves the engine's own disk.
 	WrapDisk func(store.PageSource) (store.PageSource, error)
@@ -132,7 +132,7 @@ func buildScan(s Spec) (engine.Engine, error) {
 		PageCapacity: s.PageCapacity,
 		BufferPages:  s.BufferPages,
 		WrapDisk:     s.WrapDisk,
-		Columns:      s.Columns,
+		Columnar:     s.Columnar,
 	})
 }
 
@@ -143,7 +143,7 @@ func buildVAFile(s Spec) (engine.Engine, error) {
 		BufferPages:  s.BufferPages,
 		Metric:       s.Metric,
 		WrapDisk:     s.WrapDisk,
-		Columns:      s.Columns,
+		Columnar:     s.Columnar,
 	})
 }
 
@@ -153,7 +153,7 @@ func buildXTree(s Spec) (engine.Engine, error) {
 	cfg.BufferPages = s.BufferPages
 	cfg.Metric = s.Metric
 	cfg.WrapDisk = s.WrapDisk
-	cfg.Columns = s.Columns
+	cfg.Columnar = s.Columnar
 	str := false
 	if x := s.XTree; x != nil {
 		if x.DirFanout != 0 {
@@ -177,7 +177,7 @@ func buildPivot(s Spec) (engine.Engine, error) {
 		BufferPages:  s.BufferPages,
 		Metric:       s.Metric,
 		WrapDisk:     s.WrapDisk,
-		Columns:      s.Columns,
+		Columnar:     s.Columnar,
 	})
 }
 
@@ -189,6 +189,6 @@ func buildPMTree(s Spec) (engine.Engine, error) {
 		BufferPages:  s.BufferPages,
 		Metric:       s.Metric,
 		WrapDisk:     s.WrapDisk,
-		Columns:      s.Columns,
+		Columnar:     s.Columnar,
 	})
 }

@@ -53,10 +53,6 @@ type Profile struct {
 	Lemma2Avoided int64 `json:"lemma2_avoided"`
 	// AvoidTries counts the triangle-inequality probes spent on this query.
 	AvoidTries int64 `json:"avoid_tries"`
-	// QuantFiltered counts the pairs the quantized lower-bound filter
-	// rejected for this query (LayoutQuant only; zero elsewhere). A
-	// filtered pair is in neither DistCalcs nor the avoided counts.
-	QuantFiltered int64 `json:"quant_filtered,omitempty"`
 	// Answers is the query's final answer count.
 	Answers int `json:"answers"`
 }
@@ -138,7 +134,6 @@ type explainCounters struct {
 	lemma1       atomic.Int64
 	lemma2       atomic.Int64
 	tries        atomic.Int64
-	filtered     atomic.Int64
 }
 
 // explainState is attached to a Session for the duration of one
@@ -250,7 +245,6 @@ func (s *Session) ExplainAllContext(ctx context.Context, queries []Query) (*Expl
 			Lemma1Avoided: c.lemma1.Load(),
 			Lemma2Avoided: c.lemma2.Load(),
 			AvoidTries:    c.tries.Load(),
-			QuantFiltered: c.filtered.Load(),
 			Answers:       results[i].Len(),
 		}
 	}

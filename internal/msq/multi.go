@@ -40,40 +40,6 @@ type queryState struct {
 	// relevance filtering and distance avoidance before any of its
 	// object distances have been calculated. +Inf when unknown.
 	bound float64
-	// q32 caches the query vector rounded to float32 for the f32 row
-	// kernels (ToF32 allocates; the rounding must match the block's
-	// DeriveF32 for the documented error bound, and it does — both are
-	// plain float32 conversions).
-	q32 []float32
-	// qfilter caches the quantized lower-bound filter for this query on
-	// grid filterGrid, built on the first quant-layout page and rebuilt
-	// if a page arrives with a different grid. filterSet distinguishes
-	// "not built yet" from "built nil" (metric without code-level
-	// bounds), so unsupported metrics are probed once, not per page.
-	qfilter    *vec.QuantFilter
-	filterGrid *vec.QuantGrid
-	filterSet  bool
-}
-
-// f32 returns the query vector rounded to float32, cached after first use.
-func (st *queryState) f32() []float32 {
-	if st.q32 == nil {
-		st.q32 = vec.ToF32(st.q.Vec)
-	}
-	return st.q32
-}
-
-// filter returns the query's quantized lower-bound filter for grid g (nil
-// when the metric supports no code-level bound; a nil filter rejects
-// nothing). Callers must hold the session's call lock or the pipeline's
-// page barrier — the cache is not otherwise synchronized.
-func (st *queryState) filter(m vec.Metric, g *vec.QuantGrid) *vec.QuantFilter {
-	if !st.filterSet || st.filterGrid != g {
-		st.qfilter = vec.NewQuantFilter(m, g, st.q.Vec)
-		st.filterGrid = g
-		st.filterSet = true
-	}
-	return st.qfilter
 }
 
 // queryDist is the effective pruning distance: the adaptive answer-list
@@ -548,29 +514,25 @@ type knownDist struct {
 // sized for the full batch and sliced down to the page's active set;
 // contents are clobbered on each page. The sequential loop owns one; the
 // pipeline keeps one per worker, and worker 0's also holds the page-level
-// inputs (qds, raise, qvecs, q32, filters) that the coordinator fills at
-// the page barrier and the workers only read.
+// inputs (qds, raise, qvecs) that the coordinator fills at the page
+// barrier and the workers only read.
 type pageScratch struct {
-	known   []knownDist
-	qds     []float64
-	raise   []float64
-	qvecs   []vec.Vector
-	q32     [][]float32
-	rowD    []float64
-	rowW    []bool
-	filters []*vec.QuantFilter
+	known []knownDist
+	qds   []float64
+	raise []float64
+	qvecs []vec.Vector
+	rowD  []float64
+	rowW  []bool
 }
 
 func newPageScratch(n int) *pageScratch {
 	return &pageScratch{
-		known:   make([]knownDist, 0, n),
-		qds:     make([]float64, n),
-		raise:   make([]float64, n),
-		qvecs:   make([]vec.Vector, n),
-		q32:     make([][]float32, n),
-		rowD:    make([]float64, n),
-		rowW:    make([]bool, n),
-		filters: make([]*vec.QuantFilter, n),
+		known: make([]knownDist, 0, n),
+		qds:   make([]float64, n),
+		raise: make([]float64, n),
+		qvecs: make([]vec.Vector, n),
+		rowD:  make([]float64, n),
+		rowW:  make([]bool, n),
 	}
 }
 
@@ -590,12 +552,9 @@ type pagePass struct {
 	qds []float64
 	// raise caches the Lemma-1 horizon bound of abandonLimit per query.
 	raise []float64
-	// rows selects the blocked row kernels (f32: over the float32
-	// sibling); qvecs or q32 are their query inputs.
-	rows, f32 bool
-	qvecs     []vec.Vector
-	q32       [][]float32
-	filters   []*vec.QuantFilter
+	// rows selects the blocked row kernels; qvecs are their query inputs.
+	rows  bool
+	qvecs []vec.Vector
 	// ex, when non-nil, receives per-query attribution.
 	ex *explainState
 }
@@ -612,87 +571,47 @@ func (s *Session) newPass(page *store.Page, active []*queryState, activeIdx []in
 	if matrix != nil {
 		pp.raise = lemma1Raises(activeIdx, matrix, pp.qds, sc.raise)
 	}
-	pp.rows, pp.f32 = s.rowPath(page, matrix != nil, n)
-	switch {
-	case pp.rows && pp.f32:
-		pp.q32 = sc.q32[:n]
-		for a, st := range active {
-			pp.q32[a] = st.f32()
-		}
-	case pp.rows:
+	if pp.rows = rowPath(page, matrix != nil, n); pp.rows {
 		pp.qvecs = sc.qvecs[:n]
 		for a, st := range active {
 			pp.qvecs[a] = st.q.Vec
 		}
 	}
-	pp.filters = s.quantFilters(page, active, sc.filters)
 	return pp
 }
 
-// rowPath reports whether this page runs through the blocked row kernels
-// under the configured layout, and whether over the float32 sibling. Rows
-// require a columnar block and no avoidance interleaving: with avoidance
-// off, a query's pruning distance within one item can only have been
-// tightened by earlier items (each query's mirror is updated solely by its
-// own Consider accepts), so passing the live pruning distances as the row
-// limits reproduces the per-pair loop's limits — and with them its
-// distances, within flags, abandon points and Consider sequence — exactly.
-// Under avoidance the per-pair loop couples the queries of one item
-// through the known list, which has no row equivalent; those pages keep
-// the per-pair path, which reads the same block-backed float64s anyway.
-// Batches narrower than one lane group (m < 4) also keep the per-pair
-// path: the grouped lanes of the row kernels never engage there, so the
-// row loop would only add per-item bookkeeping on top of the same scalar
-// kernel calls.
-func (s *Session) rowPath(page *store.Page, avoiding bool, m int) (rows, f32 bool) {
+// rowPath reports whether this page runs through the blocked row kernels.
+// The page alone decides: rows require a float64 block covering all its
+// items — attached at build or open when the database's layout is soa, or
+// decoded from a stored columnar dataset — and no avoidance interleaving.
+// With avoidance off, a query's pruning distance within one item can only
+// have been tightened by earlier items (each query's mirror is updated
+// solely by its own Consider accepts), so passing the live pruning
+// distances as the row limits reproduces the per-pair loop's limits — and
+// with them its distances, within flags, abandon points and Consider
+// sequence — exactly. Under avoidance the per-pair loop couples the
+// queries of one item through the known list, which has no row
+// equivalent; those pages keep the per-pair path, which reads the same
+// block-backed float64s anyway. Batches narrower than one lane group
+// (m < 4) also keep the per-pair path: the grouped lanes of the row
+// kernels never engage there, so the row loop would only add per-item
+// bookkeeping on top of the same scalar kernel calls.
+func rowPath(page *store.Page, avoiding bool, m int) bool {
 	b := page.Cols
-	if b == nil || avoiding || b.N != len(page.Items) || m < 4 {
-		return false, false
-	}
-	switch s.proc.opts.Layout {
-	case LayoutSoA:
-		return true, false
-	case LayoutF32:
-		if b.F32 != nil && s.proc.rows.SupportsF32() {
-			return true, true
-		}
-		return true, false // no f32 sibling on this page: exact rows
-	}
-	return false, false
-}
-
-// quantFilters fills dst with each active query's code-level filter for
-// the page's grid, or returns nil when the layout or the page does not
-// support quantized screening. Entries may be nil (metric without a
-// code-level bound); a nil filter rejects nothing.
-func (s *Session) quantFilters(page *store.Page, active []*queryState, dst []*vec.QuantFilter) []*vec.QuantFilter {
-	if s.proc.opts.Layout != LayoutQuant {
-		return nil
-	}
-	b := page.Cols
-	if b == nil || b.Codes == nil || b.Grid == nil {
-		return nil
-	}
-	dst = dst[:len(active)]
-	for i, st := range active {
-		dst[i] = st.filter(s.proc.metric, b.Grid)
-	}
-	return dst
+	return b != nil && !avoiding && b.N == len(page.Items) && m >= 4
 }
 
 // passCounts are the counter deltas of one evaluated item range.
 type passCounts struct {
-	calcs, abandoned, tries, avoided, filtered int64
+	calcs, abandoned, tries, avoided int64
 }
 
 // settle charges an evaluated range's counts to the counting metric and to
 // the call's Stats.
 func (s *Session) settle(c passCounts, stats *Stats) {
 	s.proc.metric.AddCalls(c.calcs, c.abandoned)
-	s.proc.metric.AddFiltered(c.filtered)
 	stats.AvoidTries += c.tries
 	stats.Avoided += c.avoided
-	stats.QuantFiltered += c.filtered
 }
 
 // visit counts one page visit per active query.
@@ -742,33 +661,24 @@ func (s *Session) processPage(page *store.Page, active []*queryState, activeIdx 
 //
 // Distance calculations bypass the Counting wrapper: the loop calls the raw
 // kernel and returns its counts for one settle per range. Pages take the
-// blocked row path when rowPath holds (bit-identical for LayoutSoA).
-// LayoutQuant screens each pair through the quantized lower-bound filter
-// before the kernel: a rejected pair provably satisfies dist > qd, so it
-// could not have been an answer; it is not appended to known (Lemma 2 over
-// a lower bound is unsound) and is counted in QuantFiltered instead of
-// DistCalcs. EXPLAIN attribution (pp.ex) is the only per-pair observation;
-// no clock is read here.
+// blocked row path when rowPath holds, bit-identical to the per-pair path.
+// EXPLAIN attribution (pp.ex) is the only per-pair observation; no clock
+// is read here.
 func (s *Session) evalItems(pp *pagePass, lo, hi int, out []float64, sc *pageScratch) (c passCounts) {
 	if pp.rows {
 		return s.evalRows(pp, lo, hi, out, sc)
 	}
 	kernel := s.proc.metric.Kernel()
-	items, filters, ex := pp.page.Items, pp.filters, pp.ex
+	items, ex := pp.page.Items, pp.ex
 	active, activeIdx, matrix, qds, raise := pp.active, pp.activeIdx, pp.matrix, pp.qds, pp.raise
 	avoiding := matrix != nil
 	known := sc.known
 	var row []float64
 	for it := lo; it < hi; it++ {
 		item := &items[it]
-		var codes []uint8
-		if filters != nil {
-			codes = pp.page.Cols.ItemCodes(it)
-		}
 		if out != nil {
 			// Every slot starts skipped; only within distances overwrite,
-			// which keeps the avoided, filtered and abandoned paths free
-			// of stores.
+			// which keeps the avoided and abandoned paths free of stores.
 			row = out[it*len(active) : (it+1)*len(active)]
 			for a := range row {
 				row[a] = skippedDist
@@ -790,13 +700,6 @@ func (s *Session) evalItems(pp *pagePass, lo, hi int, out []float64, sc *pageScr
 					continue
 				}
 				limit = abandonLimit(qd, raise[a], len(known))
-			}
-			if filters != nil && filters[a].Exceeds(codes, qd) {
-				c.filtered++
-				if ex != nil {
-					ex.prof[pos].filtered.Add(1)
-				}
-				continue
 			}
 			d, within := kernel.DistanceWithin(st.q.Vec, item.Vec, limit)
 			c.calcs++
@@ -840,9 +743,8 @@ func (s *Session) evalItems(pp *pagePass, lo, hi int, out []float64, sc *pageScr
 // — just loaded into cache — is reused m times and the kernel dispatch is
 // devirtualized once per page instead of once per pair. Only reached when
 // rowPath holds, under which the results are bit-identical to the per-pair
-// path (see rowPath); with f32 the distances instead carry the block's
-// documented input-rounding error and the caller has opted into that via
-// LayoutF32. The qds limits are live or snapshot exactly as in evalItems.
+// path (see rowPath). The qds limits are live or snapshot exactly as in
+// evalItems.
 func (s *Session) evalRows(pp *pagePass, lo, hi int, out []float64, sc *pageScratch) (c passCounts) {
 	n := len(pp.active)
 	b, rows, qds := pp.page.Cols, s.proc.rows, pp.qds
@@ -851,12 +753,7 @@ func (s *Session) evalRows(pp *pagePass, lo, hi int, out []float64, sc *pageScra
 		if out != nil {
 			dOut = out[it*n : (it+1)*n]
 		}
-		var ab int
-		if pp.f32 {
-			ab = rows.RowWithinF32(pp.q32, b, it, qds, dOut, wOut)
-		} else {
-			ab = rows.RowWithin(pp.qvecs, b, it, qds, dOut, wOut)
-		}
+		ab := rows.RowWithin(pp.qvecs, b, it, qds, dOut, wOut)
 		c.calcs += int64(n)
 		c.abandoned += int64(ab)
 		if ex := pp.ex; ex != nil {

@@ -249,8 +249,8 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 }
 
 // skippedDist marks an (item, query) slot whose distance was not fully
-// computed — avoided by the triangle inequality, rejected by the quantized
-// filter, or abandoned by the bounded kernel. Proper metrics never produce
+// computed — avoided by the triangle inequality or abandoned by the
+// bounded kernel. Proper metrics never produce
 // NaN, so the sentinel cannot collide with a computed distance.
 var skippedDist = math.NaN()
 

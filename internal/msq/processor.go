@@ -44,52 +44,6 @@ func (m AvoidanceMode) String() string {
 	}
 }
 
-// Layout selects which page representation the processor's inner loops
-// consume. It is an execution choice, not a storage one: pages may carry
-// any set of sibling representations, and the layout says which of them
-// the distance loops read.
-type Layout int
-
-const (
-	// LayoutAoS evaluates item vectors one at a time through the counting
-	// metric — the original array-of-structs path, and the fallback for
-	// pages without a columnar block.
-	LayoutAoS Layout = iota
-	// LayoutSoA runs the blocked row kernels over each page's contiguous
-	// float64 block. Bit-identical to LayoutAoS in answers and in every
-	// statistic: the row kernels share the scalar kernels' loop bodies.
-	LayoutSoA
-	// LayoutF32 runs the row kernels over the float32 sibling where that
-	// is rank-safe (no avoidance interleaving), falling back to exact
-	// float64 elsewhere. Distances differ from float64 by bounded
-	// rounding (see DESIGN.md); answers are rank-identical for queries
-	// whose decision margins exceed that bound.
-	LayoutF32
-	// LayoutQuant screens each (query, item) pair through the per-page
-	// quantized codes first: pairs whose VA-file-style cell lower bound
-	// already exceeds the pruning radius are dropped without an exact
-	// calculation. Survivors are refined with the exact float64 kernel,
-	// so answers and page reads are bit-identical to LayoutAoS; only the
-	// CPU counters (DistCalcs, Avoided, AvoidTries, QuantFiltered) move.
-	LayoutQuant
-)
-
-// String names the layout.
-func (l Layout) String() string {
-	switch l {
-	case LayoutAoS:
-		return "aos"
-	case LayoutSoA:
-		return "soa"
-	case LayoutF32:
-		return "f32"
-	case LayoutQuant:
-		return "quant"
-	default:
-		return fmt.Sprintf("layout(%d)", int(l))
-	}
-}
-
 // Options tunes the processor.
 type Options struct {
 	// Avoidance selects the triangle-inequality mode (default AvoidBoth).
@@ -101,10 +55,6 @@ type Options struct {
 	// produces bit-identical answers and an identical disk read sequence;
 	// see internal/msq/pipeline.go for the determinism argument.
 	Concurrency int
-	// Layout selects the page representation the distance loops consume
-	// (default LayoutAoS). Pages lacking the representation fall back to
-	// the AoS path item by item.
-	Layout Layout
 }
 
 // Query is one element of a multiple similarity query: a caller-chosen
@@ -141,9 +91,10 @@ type Processor struct {
 	// answers and the DistCalcs/Avoided/AvoidTries counters are identical
 	// with and without a tracer (pinned by the traced differential test).
 	tracer *obs.Tracer
-	// rows is the blocked kernel matching the metric, used by the SoA and
-	// f32 layouts. Built once; the row loops report their calc/abandon
-	// totals through the same counting metric as the scalar path.
+	// rows is the blocked kernel matching the metric, used on pages that
+	// carry a float64 block. Built once; the row loops report their
+	// calc/abandon totals through the same counting metric as the scalar
+	// path.
 	rows vec.BlockKernel
 }
 
@@ -164,11 +115,7 @@ func New(eng engine.Engine, m vec.Metric, opts Options) (*Processor, error) {
 	if !ok {
 		counting = vec.NewCounting(m)
 	}
-	rows := vec.NewBlockKernel(counting.Kernel())
-	if opts.Layout == LayoutF32 && !rows.SupportsF32() {
-		return nil, fmt.Errorf("msq: metric %T has no float32 row kernel; use layout soa", counting.Kernel())
-	}
-	return &Processor{eng: eng, metric: counting, opts: opts, rows: rows}, nil
+	return &Processor{eng: eng, metric: counting, opts: opts, rows: vec.NewBlockKernel(counting.Kernel())}, nil
 }
 
 // Engine returns the underlying engine.

@@ -33,14 +33,6 @@ type Stats struct {
 	// Avoided counts distance calculations skipped thanks to the
 	// triangle inequality.
 	Avoided int64
-	// QuantFiltered counts (query, item) pairs rejected by the quantized
-	// lower-bound filter before any exact distance calculation: the
-	// VA-file-style cell bound already exceeded the query's pruning
-	// radius. A filtered pair appears in neither DistCalcs nor Avoided —
-	// it is a third, cheaper disposal. Answers and page reads are
-	// unaffected because the bound is conservative: every pair that could
-	// be an answer survives to the exact float64 kernel.
-	QuantFiltered int64
 	// PivotDistCalcs counts the query-to-pivot distance calculations paid
 	// by pivot-based engines in Engine.Prepare (the pivot table's and the
 	// PM-tree's per-query setup). They are real metric evaluations, kept
@@ -80,7 +72,6 @@ func (s Stats) Add(t Stats) Stats {
 		MatrixDistCalcs:  s.MatrixDistCalcs + t.MatrixDistCalcs,
 		AvoidTries:       s.AvoidTries + t.AvoidTries,
 		Avoided:          s.Avoided + t.Avoided,
-		QuantFiltered:    s.QuantFiltered + t.QuantFiltered,
 		PivotDistCalcs:   s.PivotDistCalcs + t.PivotDistCalcs,
 		PartialAbandoned: s.PartialAbandoned + t.PartialAbandoned,
 

@@ -62,9 +62,9 @@ type Config struct {
 	// WrapDisk, when non-nil, interposes on the freshly built disk before
 	// the pager is attached (fault injection).
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-	// Columns selects the sibling representations materialized on each
-	// page at build time.
-	Columns store.ColumnSpec
+	// Columnar materializes a contiguous float64 block on each page at
+	// build time.
+	Columnar bool
 }
 
 // Table is the precomputed pivot structure: the pivots themselves and the
@@ -261,7 +261,7 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pivot: %w", err)
 	}
-	if err := store.Columnize(pages, cfg.Columns); err != nil {
+	if err := store.Columnize(pages, cfg.Columnar); err != nil {
 		return nil, fmt.Errorf("pivot: %w", err)
 	}
 	disk, err := store.NewDisk(pages)

@@ -63,9 +63,9 @@ type Config struct {
 	// WrapDisk, when non-nil, interposes on the freshly built disk before
 	// the pager is attached (fault injection, persisted layouts).
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-	// Columns selects the sibling representations materialized on each
-	// page at build time.
-	Columns store.ColumnSpec
+	// Columnar materializes a contiguous float64 block on each page at
+	// build time.
+	Columnar bool
 }
 
 // node is one tree node. Leaves reference a data page; internal nodes
@@ -149,7 +149,7 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 	}
 	e.buildDirectory(len(clusters))
 
-	if err := store.Columnize(pages, cfg.Columns); err != nil {
+	if err := store.Columnize(pages, cfg.Columnar); err != nil {
 		return nil, fmt.Errorf("pmtree: %w", err)
 	}
 	disk, err := store.NewDisk(pages)

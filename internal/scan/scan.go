@@ -40,10 +40,9 @@ type Config struct {
 	// the pager is attached — the hook used to run the engine on
 	// fault-injected storage.
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-	// Columns selects which sibling representations (columnar float64
-	// block, float32, quantized codes) are materialized on each page at
+	// Columnar materializes a contiguous float64 block on each page at
 	// build time for the blocked distance kernels.
-	Columns store.ColumnSpec
+	Columnar bool
 }
 
 // New builds a scan engine over items, paginating them into pages of
@@ -62,7 +61,7 @@ func NewWithConfig(items []store.Item, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
 	}
-	if err := store.Columnize(pages, cfg.Columns); err != nil {
+	if err := store.Columnize(pages, cfg.Columnar); err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
 	}
 	disk, err := store.NewDisk(pages)

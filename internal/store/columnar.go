@@ -5,39 +5,21 @@ package store
 
 import (
 	"fmt"
-	"math"
 
 	"metricdb/internal/obs"
 	"metricdb/internal/vec"
 )
 
-// ColumnSpec says which columnar representations to materialize for a
-// page set. The zero value requests nothing (pages stay AoS).
-type ColumnSpec struct {
-	// Columnar requests the contiguous float64 block (implied by the
-	// sibling fields).
-	Columnar bool
-	// F32 additionally materializes the float32 sibling.
-	F32 bool
-	// Quant, when non-nil, additionally materializes quantized codes on
-	// this grid.
-	Quant *vec.QuantGrid
-}
-
-// Any reports whether the spec requests any columnar representation.
-func (s ColumnSpec) Any() bool { return s.Columnar || s.F32 || s.Quant != nil }
-
-// Columnize rebuilds each page's coordinates as a columnar block per
-// spec and re-points every Item.Vec at its block row. Values are copied
+// Columnize rebuilds each page's coordinates as a contiguous float64
+// block and re-points every Item.Vec at its block row. Values are copied
 // bit-for-bit, so results of any computation over the vectors are
-// unchanged; only memory placement and the sibling representations are
-// new. A no-op when the spec requests nothing.
-func Columnize(pages []*Page, spec ColumnSpec) error {
-	if !spec.Any() {
+// unchanged; only memory placement is new. A no-op when columnar is false.
+func Columnize(pages []*Page, columnar bool) error {
+	if !columnar {
 		return nil
 	}
 	for _, p := range pages {
-		if err := ColumnizePage(p, spec); err != nil {
+		if err := ColumnizePage(p); err != nil {
 			return err
 		}
 	}
@@ -45,91 +27,43 @@ func Columnize(pages []*Page, spec ColumnSpec) error {
 }
 
 // ColumnizePage is Columnize for a single page.
-func ColumnizePage(p *Page, spec ColumnSpec) error {
-	if !spec.Any() || len(p.Items) == 0 {
+func ColumnizePage(p *Page) error {
+	if len(p.Items) == 0 {
 		return nil
 	}
 	dim := p.Items[0].Vec.Dim()
-	b := p.Cols
-	if b == nil || b.Dim != dim || b.N != len(p.Items) {
-		b = vec.NewBlock(dim, len(p.Items))
-		for i := range p.Items {
-			if p.Items[i].Vec.Dim() != dim {
-				return fmt.Errorf("store: page %d item %d has dimension %d, item 0 has %d",
-					p.ID, i, p.Items[i].Vec.Dim(), dim)
-			}
-			b.SetItem(i, p.Items[i].Vec)
-			p.Items[i].Vec = b.Item(i)
+	if b := p.Cols; b != nil && b.Dim == dim && b.N == len(p.Items) {
+		return nil
+	}
+	b := vec.NewBlock(dim, len(p.Items))
+	for i := range p.Items {
+		if p.Items[i].Vec.Dim() != dim {
+			return fmt.Errorf("store: page %d item %d has dimension %d, item 0 has %d",
+				p.ID, i, p.Items[i].Vec.Dim(), dim)
 		}
-		p.Cols = b
+		b.SetItem(i, p.Items[i].Vec)
+		p.Items[i].Vec = b.Item(i)
 	}
-	if spec.F32 && b.F32 == nil {
-		b.DeriveF32()
-	}
-	if g := spec.Quant; g != nil && b.Codes == nil {
-		if g.Dim() != dim {
-			return fmt.Errorf("store: quantization grid dim %d, page dim %d", g.Dim(), dim)
-		}
-		b.DeriveCodes(g)
-	}
-	if b.Grid == nil && spec.Quant != nil {
-		b.Grid = spec.Quant
-	}
+	p.Cols = b
 	return nil
 }
 
-// CoordinateBounds returns the per-dimension min/max over every item of
-// every page — the input for building a dataset-wide quantization grid.
-func CoordinateBounds(pages []*Page, dim int) (lo, hi []float64) {
-	lo = make([]float64, dim)
-	hi = make([]float64, dim)
-	for d := range lo {
-		lo[d], hi[d] = math.Inf(1), math.Inf(-1)
-	}
-	for _, p := range pages {
-		for i := range p.Items {
-			for d, v := range p.Items[i].Vec {
-				if v < lo[d] {
-					lo[d] = v
-				}
-				if v > hi[d] {
-					hi[d] = v
-				}
-			}
-		}
-	}
-	for d := range lo {
-		if lo[d] > hi[d] { // no items: collapse to a point grid
-			lo[d], hi[d] = 0, 0
-		}
-	}
-	return lo, hi
-}
-
-// ItemCoordinateBounds is CoordinateBounds over a flat item slice.
-func ItemCoordinateBounds(items []Item, dim int) (lo, hi []float64) {
-	p := Page{Items: items}
-	return CoordinateBounds([]*Page{&p}, dim)
-}
-
 // ColumnSource is a PageSource wrapper that columnizes pages as they are
-// read — the adapter that lets a layout-requesting open serve a stored
-// dataset whose records do not already carry the wanted representations
-// (a version-1 dataset, or a columnar dataset missing a sibling). It sits
-// between the disk and the buffer pool, so each page pays the conversion
-// once per fetch and cached pages stay columnar.
+// read — the adapter that lets an soa open serve a stored version-1
+// dataset, whose records carry no block. It sits between the disk and the
+// buffer pool, so each page pays the conversion once per fetch and cached
+// pages stay columnar.
 type ColumnSource struct {
-	src  PageSource
-	spec ColumnSpec
+	src PageSource
 }
 
-// WrapColumns wraps src so every page read through it is columnized per
-// spec. If the spec requests nothing, src is returned unwrapped.
-func WrapColumns(src PageSource, spec ColumnSpec) PageSource {
-	if !spec.Any() {
+// WrapColumns wraps src so every page read through it is columnized. If
+// columnar is false, src is returned unwrapped.
+func WrapColumns(src PageSource, columnar bool) PageSource {
+	if !columnar {
 		return src
 	}
-	return &ColumnSource{src: src, spec: spec}
+	return &ColumnSource{src: src}
 }
 
 // Read fetches the page from the wrapped source and columnizes it.
@@ -138,7 +72,7 @@ func (c *ColumnSource) Read(pid PageID) (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ColumnizePage(p, c.spec); err != nil {
+	if err := ColumnizePage(p); err != nil {
 		return nil, err
 	}
 	return p, nil

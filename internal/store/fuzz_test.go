@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -83,35 +84,15 @@ func FuzzPageDecode(f *testing.F) {
 }
 
 // FuzzColumnarPageDecode targets the version-2 (columnar) page-record
-// decoder with seeds covering every sibling combination. Same contract as
-// FuzzPageDecode — never panic, never allocate from an unvalidated size —
-// plus the columnar structural invariants: an accepted record yields a
-// block whose rows the item vectors alias and whose sibling sections match
-// the header flags, and re-encoding reproduces the input bit for bit.
+// decoder. Same contract as FuzzPageDecode — never panic, never allocate
+// from an unvalidated size — plus the columnar structural invariants: an
+// accepted record sets no flag and yields a block whose rows the item
+// vectors alias, and re-encoding reproduces the input bit for bit. The
+// seeds with sibling sections are records of the retired float32/quant
+// layout (see legacyRecord), which must all be rejected.
 func FuzzColumnarPageDecode(f *testing.F) {
 	seed := func(n, dim int, f32 bool, qbits int) []byte {
-		items := testItems(n, dim)
-		p := &Page{ID: 7, Items: items}
-		spec := ColumnSpec{Columnar: true, F32: f32}
-		if qbits > 0 {
-			lo, hi := ItemCoordinateBounds(items, dim)
-			g, err := vec.BuildQuantGrid(qbits, lo, hi)
-			if err != nil {
-				f.Fatal(err)
-			}
-			spec.Quant = g
-		}
-		if err := ColumnizePage(p, spec); err != nil {
-			f.Fatal(err)
-		}
-		if p.Cols == nil {
-			p.Cols = vec.NewBlock(dim, 0)
-		}
-		rec, err := EncodePage(p, dim)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return rec
+		return legacyRecord(f, &Page{ID: 7, Items: testItems(n, dim)}, dim, f32, qbits)
 	}
 	f.Add([]byte{})
 	f.Add(seed(0, 3, false, 0))
@@ -150,25 +131,15 @@ func FuzzColumnarPageDecode(f *testing.F) {
 		if b == nil {
 			t.Fatal("columnar record decoded without a block")
 		}
+		if flags := binary.LittleEndian.Uint32(data[16:24]); flags != 0 {
+			t.Fatalf("accepted a record with flags/reserved word %#x", flags)
+		}
 		dim := int(binary.LittleEndian.Uint32(data[12:16]))
 		if b.Dim != dim || b.N != len(p.Items) {
 			t.Fatalf("block is %d×%d, record header says %d items × dim %d", b.N, b.Dim, len(p.Items), dim)
 		}
 		if len(b.F64) != b.N*b.Dim {
 			t.Fatal("block buffer length disagrees with its shape")
-		}
-		if b.F32 != nil && len(b.F32) != b.N*b.Dim {
-			t.Fatal("float32 sibling length disagrees with block shape")
-		}
-		if b.Codes != nil {
-			if len(b.Codes) != b.N*b.Dim {
-				t.Fatal("code sibling length disagrees with block shape")
-			}
-			if b.CodeBits < 1 || b.CodeBits > 8 {
-				t.Fatalf("accepted %d quantization bits", b.CodeBits)
-			}
-		} else if b.CodeBits != 0 {
-			t.Fatal("code bits without a code section")
 		}
 		for i := range p.Items {
 			if dim > 0 && &p.Items[i].Vec[0] != &b.Item(i)[0] {
@@ -218,46 +189,10 @@ func FuzzManifestDecode(f *testing.F) {
 		}
 		return body
 	}
-	validV2 := func(n, dim, capacity, qbits int) []byte {
-		pages, err := Paginate(testItems(n, dim), capacity)
-		if err != nil {
-			f.Fatal(err)
-		}
-		spec := ColumnSpec{Columnar: true, F32: true}
-		man := Manifest{
-			Magic: ManifestMagic, Version: FormatVersionColumnar, Generation: 1,
-			Items: n, Dim: dim, PageCapacity: capacity,
-			PagesFile: "pages-g00000001.dat",
-			Columnar:  true, F32: true,
-		}
-		if qbits > 0 {
-			lo, hi := CoordinateBounds(pages, dim)
-			g, err := vec.BuildQuantGrid(qbits, lo, hi)
-			if err != nil {
-				f.Fatal(err)
-			}
-			spec.Quant = g
-			man.Quant = NewQuantGridManifest(g)
-		}
-		if err := Columnize(pages, spec); err != nil {
-			f.Fatal(err)
-		}
-		for _, p := range pages {
-			rec, err := EncodePage(p, dim)
-			if err != nil {
-				f.Fatal(err)
-			}
-			man.Pages = append(man.Pages, PageEntry{
-				Offset: man.PagesBytes, Length: int64(len(rec)),
-				Items: len(p.Items), CRC32C: crcOf(rec),
-			})
-			man.PagesBytes += int64(len(rec))
-		}
-		body, err := EncodeManifest(&man)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return body
+	// Seeds in the retired float32/quant layout, which must be rejected.
+	legacyV2 := func(n, dim, capacity, qbits int) []byte {
+		manifest, _ := legacyDataset(f, testItems(n, dim), dim, capacity, true, qbits)
+		return manifest
 	}
 	f.Add([]byte{})
 	f.Add([]byte("{}"))
@@ -265,8 +200,8 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add(valid(0, 0, 4))
 	f.Add(valid(40, 4, 16))
 	f.Add(valid(7, 2, 3))
-	f.Add(validV2(12, 3, 5, 0))
-	f.Add(validV2(12, 3, 5, 6))
+	f.Add(legacyV2(12, 3, 5, 0))
+	f.Add(legacyV2(12, 3, 5, 6))
 	evil := valid(7, 2, 3)
 	f.Add([]byte(string(evil)[:len(evil)/2]))
 
@@ -278,14 +213,15 @@ func FuzzManifestDecode(f *testing.F) {
 		if m.Magic != ManifestMagic || (m.Version != FormatVersion && m.Version != FormatVersionColumnar) {
 			t.Fatal("accepted manifest with wrong magic or version")
 		}
-		if m.Version == FormatVersion && (m.Columnar || m.F32 || m.Quant != nil) {
+		if m.Version == FormatVersion && m.Columnar {
 			t.Fatal("accepted version-1 manifest claiming columnar fields")
 		}
 		if m.Version == FormatVersionColumnar && !m.Columnar {
 			t.Fatal("accepted version-2 manifest without the columnar flag")
 		}
-		if q := m.Quant; q != nil && (q.Bits < 1 || q.Bits > 8 || len(q.Min) != m.Dim || len(q.Step) != m.Dim) {
-			t.Fatal("accepted manifest with malformed quantization grid")
+		var keys map[string]json.RawMessage
+		if json.Unmarshal(data, &keys) == nil && (keys["f32"] != nil || keys["quant"] != nil) {
+			t.Fatal("accepted manifest carrying a retired layout key")
 		}
 		if m.Items < 0 || m.Dim < 0 || m.PageCapacity < 0 || m.Generation < 0 {
 			t.Fatal("accepted manifest with negative shape")

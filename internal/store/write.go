@@ -71,15 +71,10 @@ type DatasetMeta struct {
 	PageCapacity int
 	// Attrs is copied into the manifest verbatim.
 	Attrs map[string]string
-	// Columnar requests version-2 columnar page records even without
-	// sibling sections (a dataset that opens straight into SoA pages).
-	// Pages that already carry a columnar block force this on.
+	// Columnar requests version-2 columnar page records (a dataset that
+	// opens straight into SoA pages). Pages that already carry a columnar
+	// block force this on.
 	Columnar bool
-	// F32 requests the float32 sibling section in every page record.
-	F32 bool
-	// QuantBits, when 1..8, requests quantized code sections on a
-	// dataset-wide grid computed from the pages' coordinate bounds.
-	QuantBits int
 }
 
 // WriteDataset builds (or atomically replaces) the persistent dataset in
@@ -120,54 +115,20 @@ func WriteDataset(dir string, pages []*Page, meta DatasetMeta, opts WriteOptions
 		return fmt.Errorf("store: %w", err)
 	}
 
-	// Resolve the columnar shape of the build: what the meta requests,
-	// widened by whatever the pages already carry (a page that arrives
-	// with a block is encoded as a version-2 record, so the manifest must
-	// say so). Requested-but-missing representations are materialized
-	// here, before any byte is written.
-	spec := ColumnSpec{Columnar: meta.Columnar, F32: meta.F32}
-	var grid *vec.QuantGrid
-	wantBits := meta.QuantBits
+	// A page that arrives with a block is encoded as a version-2 record,
+	// so any such page makes the whole build columnar; blocks are then
+	// materialized on the others before any byte is written.
+	columnar := meta.Columnar
 	for _, p := range pages {
-		if c := p.Cols; c != nil {
-			spec.Columnar = true
-			if c.F32 != nil {
-				spec.F32 = true
-			}
-			if c.Codes != nil {
-				if grid == nil && c.Grid != nil {
-					grid = c.Grid
-				}
-				if wantBits == 0 {
-					wantBits = c.CodeBits // gridless pages: rebuild at their width
-				}
-			}
-		}
+		columnar = columnar || p.Cols != nil
 	}
-	if wantBits != 0 || grid != nil {
-		if grid == nil || (wantBits != 0 && grid.Bits != wantBits) {
-			lo, hi := CoordinateBounds(pages, dim)
-			var err error
-			if grid, err = vec.BuildQuantGrid(wantBits, lo, hi); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-		}
-		spec.Quant = grid
-	}
-	if spec.Any() {
-		spec.Columnar = true
+	if columnar {
 		for _, p := range pages {
-			if err := ColumnizePage(p, spec); err != nil {
+			if err := ColumnizePage(p); err != nil {
 				return err
 			}
-			if len(p.Items) == 0 && p.Cols == nil {
+			if p.Cols == nil {
 				p.Cols = vec.NewBlock(dim, 0) // itemless pages still need v2 records
-			}
-			// Codes from a foreign grid would desynchronize record and
-			// manifest; re-derive on the dataset-wide grid (idempotent
-			// when the grids match).
-			if grid != nil && p.Cols != nil && len(p.Items) > 0 && p.Cols.Grid != grid {
-				p.Cols.DeriveCodes(grid)
 			}
 		}
 	}
@@ -184,7 +145,7 @@ func WriteDataset(dir string, pages []*Page, meta DatasetMeta, opts WriteOptions
 	w := &buildWriter{dir: dir, opts: opts}
 	pagesName := fmt.Sprintf("pages-g%08d.dat", gen)
 	version := FormatVersion
-	if spec.Columnar {
+	if columnar {
 		version = FormatVersionColumnar
 	}
 	man := &Manifest{
@@ -196,9 +157,7 @@ func WriteDataset(dir string, pages []*Page, meta DatasetMeta, opts WriteOptions
 		PageCapacity: capacity,
 		PagesFile:    pagesName,
 		Attrs:        meta.Attrs,
-		Columnar:     spec.Columnar,
-		F32:          spec.F32,
-		Quant:        NewQuantGridManifest(spec.Quant),
+		Columnar:     columnar,
 		Pages:        make([]PageEntry, 0, len(pages)),
 	}
 

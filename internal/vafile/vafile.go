@@ -49,10 +49,9 @@ type Config struct {
 	// fault-injected storage. Approximations are built from the in-memory
 	// pages, so construction never reads through the wrapper.
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-	// Columns selects which sibling representations (columnar float64
-	// block, float32, quantized codes) are materialized on each page at
+	// Columnar materializes a contiguous float64 block on each page at
 	// build time for the blocked distance kernels.
-	Columns store.ColumnSpec
+	Columnar bool
 }
 
 // Engine is a VA-file over a paged vector file.
@@ -106,7 +105,7 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vafile: %w", err)
 	}
-	if err := store.Columnize(pages, cfg.Columns); err != nil {
+	if err := store.Columnize(pages, cfg.Columnar); err != nil {
 		return nil, fmt.Errorf("vafile: %w", err)
 	}
 	disk, err := store.NewDisk(pages)

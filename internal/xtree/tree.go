@@ -44,10 +44,9 @@ type Config struct {
 	// splitting, which tightens MBRs. 0 disables reinsertion (default);
 	// the R*-tree paper recommends 0.3. Must be in [0, 0.5].
 	ReinsertFraction float64
-	// Columns selects which sibling representations (columnar float64
-	// block, float32, quantized codes) Build materializes on each data
-	// page for the blocked distance kernels.
-	Columns store.ColumnSpec
+	// Columnar makes Build materialize a contiguous float64 block on each
+	// data page for the blocked distance kernels.
+	Columnar bool
 }
 
 // withDefaults fills in defaulted fields and validates the config.
@@ -445,7 +444,7 @@ func (t *Tree) Build() error {
 	}
 	flush(t.root)
 
-	if err := store.Columnize(pages, t.cfg.Columns); err != nil {
+	if err := store.Columnize(pages, t.cfg.Columnar); err != nil {
 		return fmt.Errorf("xtree: %w", err)
 	}
 	disk, err := store.NewDisk(pages)

@@ -26,7 +26,7 @@ func layoutBatch(dim int, seed int64) []Query {
 	}
 }
 
-func compareLayoutAnswers(t *testing.T, label string, want, got [][]Answer, tol float64) {
+func compareLayoutAnswers(t *testing.T, label string, want, got [][]Answer) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d vs %d answer lists", label, len(want), len(got))
@@ -40,21 +40,17 @@ func compareLayoutAnswers(t *testing.T, label string, want, got [][]Answer, tol 
 			if a.ID != b.ID {
 				t.Fatalf("%s: query %d answer %d: id %d vs %d", label, q, i, a.ID, b.ID)
 			}
-			if tol == 0 {
-				if math.Float64bits(a.Dist) != math.Float64bits(b.Dist) {
-					t.Fatalf("%s: query %d answer %d: dist %v vs %v", label, q, i, a.Dist, b.Dist)
-				}
-			} else if math.Abs(a.Dist-b.Dist) > tol {
-				t.Fatalf("%s: query %d answer %d: |Δdist| %g exceeds %g", label, q, i, math.Abs(a.Dist-b.Dist), tol)
+			if math.Float64bits(a.Dist) != math.Float64bits(b.Dist) {
+				t.Fatalf("%s: query %d answer %d: dist %v vs %v", label, q, i, a.Dist, b.Dist)
 			}
 		}
 	}
 }
 
-// TestOpenLayouts: for every engine, each layout must answer like the
-// default AoS database — bit-identically for soa and quant, and within
-// the float32 rounding bound for f32 (whose rows engage only on
-// avoidance-free pages, so run with AvoidOff to actually exercise them).
+// TestOpenLayouts: for every engine, the soa layout must answer like the
+// default AoS database, bit-identically in answers and Stats (its rows
+// engage only on avoidance-free pages, so run with AvoidOff to actually
+// exercise them), and the retired f32 and quant layouts must be refused.
 func TestOpenLayouts(t *testing.T) {
 	const dim, n, capacity = 4, 260, 16
 	items := testItems(91, n, dim)
@@ -70,7 +66,7 @@ func TestOpenLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, layout := range []string{"soa", "f32", "quant"} {
+		for _, layout := range []string{"soa"} {
 			t.Run(fmt.Sprintf("%s/%s", kind, layout), func(t *testing.T) {
 				opts := base
 				opts.Layout = layout
@@ -85,16 +81,18 @@ func TestOpenLayouts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tol := 0.0
-				if layout == "f32" {
-					tol = 1e-5
-				}
-				compareLayoutAnswers(t, layout, aosAns, ans, tol)
-				if stats.PagesRead != aosStats.PagesRead {
-					t.Errorf("PagesRead = %d, aos %d", stats.PagesRead, aosStats.PagesRead)
-				}
-				if layout == "soa" && stats != aosStats {
+				compareLayoutAnswers(t, layout, aosAns, ans)
+				if stats != aosStats {
 					t.Errorf("soa stats differ:\n  aos: %+v\n  soa: %+v", aosStats, stats)
+				}
+			})
+		}
+		for _, retired := range []string{"f32", "quant"} {
+			t.Run(fmt.Sprintf("%s/%s", kind, retired), func(t *testing.T) {
+				opts := base
+				opts.Layout = retired
+				if _, err := Open(items, opts); err == nil {
+					t.Errorf("retired layout %q opened", retired)
 				}
 			})
 		}
@@ -102,10 +100,12 @@ func TestOpenLayouts(t *testing.T) {
 }
 
 // TestOpenStoredLayouts covers both persistence directions: a version-2
-// dataset whose pages already carry the siblings must serve every layout
-// directly, and a plain version-1 dataset must serve them anyway by
+// dataset whose pages already carry blocks serves every layout directly
+// (the scan, which reads the dataset's own pages, then reports soa
+// whatever the option says), and a plain version-1 dataset serves soa by
 // columnizing pages on read (the WrapColumns path). Answers always match
-// the in-memory AoS database.
+// the in-memory AoS database. The retired f32 and quant layouts are
+// refused on either dataset.
 func TestOpenStoredLayouts(t *testing.T) {
 	const dim, n, capacity = 4, 260, 16
 	items := testItems(93, n, dim)
@@ -126,14 +126,14 @@ func TestOpenStoredLayouts(t *testing.T) {
 	}
 	v2 := t.TempDir()
 	if err := dataset.SaveDir(v2, items, dataset.SaveOptions{
-		PageCapacity: capacity, NoSync: true, Columnar: true, F32: true, QuantBits: 8,
+		PageCapacity: capacity, NoSync: true, Columnar: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, dir := range []struct{ name, path string }{{"v1", v1}, {"v2", v2}} {
 		for _, kind := range []EngineKind{EngineScan, EngineXTree, EngineVAFile} {
-			for _, layout := range []string{"aos", "soa", "f32", "quant"} {
+			for _, layout := range []string{"aos", "soa"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", dir.name, kind, layout), func(t *testing.T) {
 					db, err := OpenStored(dir.path, Options{
 						Engine: kind, PageCapacity: capacity, BufferPages: 4,
@@ -146,15 +146,27 @@ func TestOpenStoredLayouts(t *testing.T) {
 					if _, ok := db.Stored(); !ok {
 						t.Error("stored DB does not report persistent storage")
 					}
+					want := layout
+					if dir.name == "v2" && kind == EngineScan {
+						want = "soa"
+					}
+					if got := db.ProcessorStats().Layout; got != want {
+						t.Errorf("ProcessorStats().Layout = %q, want %q", got, want)
+					}
 					ans, _, err := db.NewBatch().QueryAll(batch)
 					if err != nil {
 						t.Fatal(err)
 					}
-					tol := 0.0
-					if layout == "f32" {
-						tol = 1e-5
+					compareLayoutAnswers(t, layout, aosAns, ans)
+				})
+			}
+			for _, retired := range []string{"f32", "quant"} {
+				t.Run(fmt.Sprintf("%s/%s/%s", dir.name, kind, retired), func(t *testing.T) {
+					db, err := OpenStored(dir.path, Options{Engine: kind, PageCapacity: capacity, Layout: retired})
+					if err == nil {
+						db.Close() //nolint:errcheck
+						t.Errorf("retired layout %q opened", retired)
 					}
-					compareLayoutAnswers(t, layout, aosAns, ans, tol)
 				})
 			}
 		}
@@ -167,23 +179,17 @@ func TestLayoutOptionValidation(t *testing.T) {
 	if err := (Options{Layout: "columnar"}).Validate(); err == nil {
 		t.Error("unknown layout accepted")
 	}
-	if err := (Options{QuantBits: 4}).Validate(); err == nil {
-		t.Error("QuantBits without quant layout accepted")
+	for _, retired := range []string{"f32", "quant"} {
+		if err := (Options{Layout: retired}).Validate(); err == nil {
+			t.Errorf("retired layout %q accepted", retired)
+		}
+		if _, err := Open(testItems(95, 40, 3), Options{Layout: retired}); err == nil {
+			t.Errorf("Open accepted retired layout %q", retired)
+		}
 	}
-	if err := (Options{Layout: "quant", QuantBits: 9}).Validate(); err == nil {
-		t.Error("out-of-range QuantBits accepted")
-	}
-	if err := (Options{Layout: "quant", QuantBits: 4}).Validate(); err != nil {
-		t.Errorf("valid quant options rejected: %v", err)
-	}
-	if err := (Options{Layout: "soa"}).Validate(); err != nil {
-		t.Errorf("soa layout rejected: %v", err)
-	}
-	mink, err := Minkowski(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(testItems(95, 40, 3), Options{Layout: "f32", Metric: mink}); err == nil {
-		t.Error("f32 layout with a Minkowski metric accepted; no float32 kernel exists")
+	for _, ok := range []string{"", "aos", "soa"} {
+		if err := (Options{Layout: ok}).Validate(); err != nil {
+			t.Errorf("layout %q rejected: %v", ok, err)
+		}
 	}
 }

@@ -74,25 +74,13 @@ func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPag
 		return nil, fmt.Errorf("metricdb: %w", err)
 	}
 	man := fd.Manifest()
-	// Serve pages through a columnizing wrapper when the layout wants
-	// sibling representations the stored format does not carry: a
-	// version-1 dataset (or one written without the f32/quant sections)
-	// then materializes them per page on first read, with the buffer
-	// caching the columnized page. Datasets that already store the
-	// siblings decode them directly and skip the wrapper. A stored
-	// quantization grid wins over a freshly derived one so the on-page
-	// codes and the filter agree.
-	columns, err := opts.columnSpec(items, dim)
-	if err != nil {
-		fd.Close() //nolint:errcheck
-		return nil, err
-	}
-	if man.Quant != nil {
-		columns.Quant = nil
-	}
-	var src store.PageSource = fd
-	if (columns.Columnar && !man.Columnar) || (columns.F32 && !man.F32) || columns.Quant != nil {
-		src = store.WrapColumns(fd, columns)
+	// A version-1 dataset opened with layout soa is served through a
+	// columnizing wrapper: each page gets its block on first read, and the
+	// buffer caches the columnized page. A columnar dataset decodes its
+	// blocks directly, so it runs the row kernels whatever the layout says.
+	src := store.WrapColumns(fd, opts.columnar() && !man.Columnar)
+	if man.Columnar {
+		opts.Layout = "soa"
 	}
 	var buf *store.Buffer
 	if bufferPages > 0 {
@@ -134,12 +122,7 @@ func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPag
 	// The stored layout dictates the page capacity; reflect it in the
 	// options so DB introspection reports the truth.
 	opts.PageCapacity = man.PageCapacity
-	layout, err := parseLayout(opts.Layout)
-	if err != nil {
-		fd.Close() //nolint:errcheck
-		return nil, err
-	}
-	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency, Layout: layout})
+	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency})
 	if err != nil {
 		fd.Close() //nolint:errcheck
 		return nil, err
@@ -184,14 +167,6 @@ func storedPivotTable(dir string, items []Item, man *store.Manifest, lens []int,
 // pages from the file system through the engine's WrapDisk hook.
 func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPages int) (*DB, error) {
 	layoutDir := filepath.Join(dir, "layout-"+string(opts.Engine))
-	columns, err := opts.columnSpec(items, dim)
-	if err != nil {
-		return nil, err
-	}
-	layout, err := parseLayout(opts.Layout)
-	if err != nil {
-		return nil, err
-	}
 	var fd *store.FileDisk
 	wrap := func(src store.PageSource) (store.PageSource, error) {
 		pages := make([]*store.Page, src.NumPages())
@@ -210,12 +185,8 @@ func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPa
 		// the blocks ride along into the persisted layout: the meta
 		// fields make the written records carry them, and the reopened
 		// FileDisk decodes them back.
-		meta := store.DatasetMeta{Dim: dim, PageCapacity: capacity,
-			Columnar: columns.Columnar, F32: columns.F32,
+		meta := store.DatasetMeta{Dim: dim, PageCapacity: capacity, Columnar: opts.columnar(),
 			Attrs: map[string]string{"layout": string(opts.Engine)}}
-		if columns.Quant != nil {
-			meta.QuantBits = columns.Quant.Bits
-		}
 		if err := store.WriteDataset(layoutDir, pages, meta, store.WriteOptions{}); err != nil {
 			return nil, err
 		}
@@ -226,14 +197,14 @@ func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPa
 		return fd, nil
 	}
 
-	eng, err := engines.Build(opts.engineSpec(items, dim, bufferPages, columns, wrap))
+	eng, err := engines.Build(opts.engineSpec(items, dim, bufferPages, wrap))
 	if err != nil {
 		if fd != nil {
 			fd.Close() //nolint:errcheck
 		}
 		return nil, err
 	}
-	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency, Layout: layout})
+	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency})
 	if err != nil {
 		if fd != nil {
 			fd.Close() //nolint:errcheck
