@@ -26,10 +26,10 @@ import (
 // (DistCalcs + Lemma1Avoided + Lemma2Avoided) are pure functions of the
 // page-barrier state and therefore identical at every pipeline width. The
 // split of the offered set into calculated/avoided/abandoned is identical
-// across all widths >= 2 (snapshot-pure decisions, chunk-independent known
-// lists) but may shift slightly against width 1, which tightens pruning
-// bounds item by item (see pipeline.go). Wall-time fields are timing, not
-// counters, and are never expected to be stable.
+// across all widths >= 2 (snapshot-pure decisions, per-item sweeps that no
+// chunk boundary splits) but may shift slightly against width 1, which
+// tightens pruning bounds item by item (see pipeline.go). Wall-time fields
+// are timing, not counters, and are never expected to be stable.
 
 // Profile is the EXPLAIN record of one query position in a batch.
 type Profile struct {

@@ -490,34 +490,16 @@ func (s *Session) readPage(pid store.PageID) (*store.Page, error) {
 	return page, err
 }
 
-// knownDist records a distance already calculated from the current database
-// object to the query at position idx ("AvoidingDists" in Figure 4). When
-// the calculation was abandoned early by the bounded kernel, d is only a
-// lower bound on the true distance: sound for Lemma 1 (which needs
-// dist(O,Qj) to be large), and incapable of firing Lemma 2 — not by an
-// exactness flag (a data-dependent branch that mispredicts badly in
-// avoidable's probe loop when abandoned and exact entries interleave) but
-// by the abandonLimit invariant: an abandoned d strictly exceeds
-// dist(Q_j, Q_i) + QueryDist(Q_i) for every query i that can still probe
-// the entry with a finite pruning distance, and Lemma 2 would need d
-// *below* dist(Q_j, Q_i) - QueryDist(Q_i). A pruning distance becomes
-// finite only at its own query's turn — after that query's probes — and
-// that transition recomputes the raises, so the invariant covers every
-// probe. idx is an int32 so the entry packs into 16 bytes; avoidable scans
-// these linearly, so density matters.
-type knownDist struct {
-	d   float64 // exact distance, or the abandoned partial lower bound
-	idx int32
-}
-
 // pageScratch bundles one page pass's reusable buffers. Every field is
 // sized for the full batch and sliced down to the page's active set;
 // contents are clobbered on each page. The sequential loop owns one; the
 // pipeline keeps one per worker, and worker 0's also holds the page-level
 // inputs (qds, raise, qvecs) that the coordinator fills at the page
-// barrier and the workers only read.
+// barrier and the workers only read. und and spare are the sweep's
+// double-buffered undecided lists (active indices).
 type pageScratch struct {
-	known []knownDist
+	und   []int32
+	spare []int32
 	qds   []float64
 	raise []float64
 	qvecs []vec.Vector
@@ -527,7 +509,8 @@ type pageScratch struct {
 
 func newPageScratch(n int) *pageScratch {
 	return &pageScratch{
-		known: make([]knownDist, 0, n),
+		und:   make([]int32, n),
+		spare: make([]int32, n),
 		qds:   make([]float64, n),
 		raise: make([]float64, n),
 		qvecs: make([]vec.Vector, n),
@@ -587,15 +570,15 @@ func (s *Session) newPass(page *store.Page, active []*queryState, activeIdx []in
 // With avoidance off, a query's pruning distance within one item can only
 // have been tightened by earlier items (each query's mirror is updated
 // solely by its own Consider accepts), so passing the live pruning
-// distances as the row limits reproduces the per-pair loop's limits — and
-// with them its distances, within flags, abandon points and Consider
-// sequence — exactly. Under avoidance the per-pair loop couples the
-// queries of one item through the known list, which has no row
-// equivalent; those pages keep the per-pair path, which reads the same
-// block-backed float64s anyway. Batches narrower than one lane group
-// (m < 4) also keep the per-pair path: the grouped lanes of the row
-// kernels never engage there, so the row loop would only add per-item
-// bookkeeping on top of the same scalar kernel calls.
+// distances as the row limits reproduces evalItems' limits — and with
+// them its distances, within flags, abandon points and Consider sequence —
+// exactly. Under avoidance the sweep decides which queries of an item are
+// computed at all, and each computed distance can avoid the ones after it,
+// so the set is not known before the item starts; those pages keep the
+// sweep, which reads the same block-backed float64s anyway. Batches
+// narrower than one lane group (m < 4) also keep the sweep: the grouped
+// lanes of the row kernels never engage there, so the row loop would only
+// add per-item bookkeeping on top of the same scalar kernel calls.
 func rowPath(page *store.Page, avoiding bool, m int) bool {
 	b := page.Cols
 	return b != nil && !avoiding && b.N == len(page.Items) && m >= 4
@@ -638,17 +621,35 @@ func (s *Session) processPage(page *store.Page, active []*queryState, activeIdx 
 
 // evalItems is the one page evaluator of Figure 4: it tests the items
 // [lo, hi) of the pass's page against every active query, using the
-// triangle inequality over already-known distances to avoid calculations
-// where possible. Unavoidable calculations run through the bounded
-// distance kernel, which abandons mid-vector as soon as the partial result
-// proves the exact distance irrelevant. The abandonment limit is not the
-// query's own pruning distance but the abandonLimit raise of it, so an
-// abandoned calculation provably (a) could never have produced an answer
-// (Consider would reject it) and (b) fires Lemma 1 — and withholds Lemma 2
-// — for every later query on this item exactly where the exact distance
-// would, leaving DistCalcs and Avoided untouched relative to full-distance
-// evaluation. The partial result is appended to known like any other
-// distance, so later probes see the same entry sequence either way.
+// triangle inequality over already-computed distances to avoid
+// calculations where possible.
+//
+// Avoidance runs as a column sweep per item. All active queries start
+// undecided, in active order. The first undecided query is computed, and
+// its distance d becomes the item's next sweep entry; while fewer than
+// maxAvoidProbes entries exist, the entry is swept once over every query
+// still undecided (sweep), reading the entry query's contiguous matrix
+// row. A query the sweep proves irrelevant is avoided; the rest stay
+// undecided for the next entry, and the next undecided query is computed.
+// This makes exactly the probes a per-pair loop would make — each query is
+// tested against the entries of the queries computed before it, in
+// computation order, stopping at the first hit — and testing early is
+// safe: a probe reads the tested query's pruning distance, which changes
+// only through that query's own Consider, and the raises are read only
+// when a query is computed. DistCalcs, AvoidTries, Avoided,
+// PartialAbandoned, the Consider order and EXPLAIN attribution therefore
+// match the per-pair formulation exactly. A nil matrix sweeps nothing,
+// which covers avoidance-off and seed pages.
+//
+// Unavoidable calculations run through the bounded distance kernel, which
+// abandons mid-vector as soon as the partial result proves the exact
+// distance irrelevant. The abandonment limit is not the query's own
+// pruning distance but the abandonLimit raise of it, so an abandoned
+// calculation provably (a) could never have produced an answer (Consider
+// would reject it) and (b) fires Lemma 1 — and withholds Lemma 2 — for
+// every later query on this item exactly where the exact distance would,
+// leaving DistCalcs and Avoided untouched relative to full-distance
+// evaluation. The partial result is swept like any other entry.
 //
 // Results go one of two ways. With a nil out the merge is live: each
 // within distance is offered to the answer list at once, the pruning
@@ -661,9 +662,9 @@ func (s *Session) processPage(page *store.Page, active []*queryState, activeIdx 
 //
 // Distance calculations bypass the Counting wrapper: the loop calls the raw
 // kernel and returns its counts for one settle per range. Pages take the
-// blocked row path when rowPath holds, bit-identical to the per-pair path.
-// EXPLAIN attribution (pp.ex) is the only per-pair observation; no clock
-// is read here.
+// blocked row path when rowPath holds, bit-identical to this path. EXPLAIN
+// attribution (pp.ex) is the only per-pair observation; no clock is read
+// here.
 func (s *Session) evalItems(pp *pagePass, lo, hi int, out []float64, sc *pageScratch) (c passCounts) {
 	if pp.rows {
 		return s.evalRows(pp, lo, hi, out, sc)
@@ -672,42 +673,38 @@ func (s *Session) evalItems(pp *pagePass, lo, hi int, out []float64, sc *pageScr
 	items, ex := pp.page.Items, pp.ex
 	active, activeIdx, matrix, qds, raise := pp.active, pp.activeIdx, pp.matrix, pp.qds, pp.raise
 	avoiding := matrix != nil
-	known := sc.known
+	n := len(active)
 	var row []float64
 	for it := lo; it < hi; it++ {
 		item := &items[it]
 		if out != nil {
 			// Every slot starts skipped; only within distances overwrite,
 			// which keeps the avoided and abandoned paths free of stores.
-			row = out[it*len(active) : (it+1)*len(active)]
+			row = out[it*n : (it+1)*n]
 			for a := range row {
 				row[a] = skippedDist
 			}
 		}
-		known = known[:0]
-		for a, st := range active {
-			pos := activeIdx[a]
-			qd := qds[a]
+		und, spare := sc.und[:n], sc.spare[:n]
+		for a := range und {
+			und[a] = int32(a)
+		}
+		// j counts the item's computed queries: the sweep entries so far.
+		for j := 0; len(und) > 0; j++ {
+			a := und[0]
+			und = und[1:]
+			st, pos, qd := active[a], activeIdx[a], qds[a]
 			limit := qd
 			if avoiding {
-				av, byL1, n := s.avoidable(qd, matrix[pos], known)
-				c.tries += n
+				limit = abandonLimit(qd, raise[a], j)
 				if ex != nil {
-					ex.prof[pos].attributeProbe(av, byL1, n)
+					ex.prof[pos].attributeProbe(false, false, int64(min(j, maxAvoidProbes)))
 				}
-				if av {
-					c.avoided++
-					continue
-				}
-				limit = abandonLimit(qd, raise[a], len(known))
 			}
 			d, within := kernel.DistanceWithin(st.q.Vec, item.Vec, limit)
 			c.calcs++
 			if ex != nil {
 				ex.prof[pos].attributeCalc(within)
-			}
-			if avoiding {
-				known = append(known, knownDist{d: d, idx: int32(pos)})
 			}
 			if !within {
 				c.abandoned++
@@ -726,24 +723,81 @@ func (s *Session) evalItems(pp *pagePass, lo, hi int, out []float64, sc *pageScr
 				// it — an O(m) overapproximation, at most once per query.
 				if avoiding && wasInf && !math.IsInf(qds[a], 1) {
 					mrow := matrix[pos]
-					for j, p := range activeIdx {
-						if t := mrow[p] + qds[a]; t > raise[j] {
-							raise[j] = t
+					for k, p := range activeIdx {
+						if t := mrow[p] + qds[a]; t > raise[k] {
+							raise[k] = t
 						}
 					}
 				}
+			}
+			if avoiding && j < maxAvoidProbes && len(und) > 0 {
+				und, spare = s.sweep(pp, und, spare, d, matrix[pos], j, &c), und
 			}
 		}
 	}
 	return c
 }
 
+// sweep tests sweep entry j — the distance d from the current item to the
+// query whose matrix row is mrow — against every undecided query b, by
+// Definition 5 via Lemmas 1 and 2 (strict inequalities, so boundary
+// answers are never lost):
+//
+//	Lemma 1: dist(O,Qj) - dist(Qb,Qj) > QueryDist(Qb)  =>  avoid
+//	Lemma 2: dist(Qb,Qj) - dist(O,Qj) > QueryDist(Qb)  =>  avoid
+//
+// Each test is one probe. The queries that survive are written, in order,
+// to spare by a branch-free compaction, which is returned as the new
+// undecided list. Under AvoidBoth the two lemmas are one comparison,
+// |d - M| > QueryDist; a single-lemma mode tests the signed difference.
+// EXPLAIN charges an avoided query j+1 probes and the lemma that fired
+// (Lemma 1 first, so a pair satisfying both is Lemma 1's).
+func (s *Session) sweep(pp *pagePass, und, spare []int32, d float64, mrow []float64, j int, c *passCounts) []int32 {
+	activeIdx, qds := pp.activeIdx, pp.qds
+	kept := spare[:len(und)]
+	k := 0
+	if mode := s.proc.opts.Avoidance; mode == AvoidBoth {
+		for _, b := range und {
+			kept[k] = b
+			if !(math.Abs(d-mrow[activeIdx[b]]) > qds[b]) {
+				k++
+			}
+		}
+	} else {
+		sign := 1.0 // Lemma 1 only
+		if mode == AvoidLemma2 {
+			sign = -1
+		}
+		for _, b := range und {
+			kept[k] = b
+			if !(sign*(d-mrow[activeIdx[b]]) > qds[b]) {
+				k++
+			}
+		}
+	}
+	kept = kept[:k]
+	c.tries += int64(len(und))
+	c.avoided += int64(len(und) - k)
+	if ex := pp.ex; ex != nil && k < len(und) {
+		i := 0
+		for _, b := range und {
+			if i < k && kept[i] == b {
+				i++
+				continue
+			}
+			pos := activeIdx[b]
+			ex.prof[pos].attributeProbe(true, d-mrow[pos] > qds[b], int64(j+1))
+		}
+	}
+	return kept
+}
+
 // evalRows is evalItems' blocked (SoA) path: one row-kernel call per item
 // evaluates the whole active set against the item's block row, so the row
 // — just loaded into cache — is reused m times and the kernel dispatch is
 // devirtualized once per page instead of once per pair. Only reached when
-// rowPath holds, under which the results are bit-identical to the per-pair
-// path (see rowPath). The qds limits are live or snapshot exactly as in
+// rowPath holds, under which the results are bit-identical to evalItems'
+// scalar path (see rowPath). The qds limits are live or snapshot exactly as in
 // evalItems.
 func (s *Session) evalRows(pp *pagePass, lo, hi int, out []float64, sc *pageScratch) (c passCounts) {
 	n := len(pp.active)
@@ -782,54 +836,20 @@ func (s *Session) evalRows(pp *pagePass, lo, hi int, out []float64, sc *pageScra
 	return c
 }
 
-// maxAvoidProbes caps how many known distances one avoidance decision
-// consults. Unbounded probing is quadratic in the block size m and
-// dominates wall-clock for m in the thousands, while the probability that
-// a probe succeeds after many failures is low; the cap keeps the vast
+// maxAvoidProbes caps how many sweep entries one item has: only the first
+// maxAvoidProbes computed distances are swept, so one avoidance decision
+// consults at most that many. Unbounded probing is quadratic in the block
+// size m and dominates wall-clock for m in the thousands, while the
+// probability that a probe succeeds after many failures is low; the cap keeps the vast
 // majority of avoided calculations at linear cost. (The paper's own
 // quadratic-in-m degradation at s=16 stems mainly from the query-distance
 // matrix, which is not affected by this cap.)
 const maxAvoidProbes = 8
 
-// avoidable implements Definition 5 via Lemmas 1 and 2: the calculation of
-// dist(Q_i, O) is avoidable if some already-known dist(Q_j, O) proves
-// dist(Q_i, O) > QueryDist(Q_i). row is Q_i's query-distance matrix row.
-// Strict inequalities are used so that boundary answers (dist exactly
-// equal to the query distance) are never lost.
-//
-//	Lemma 1: dist(O,Qj) - dist(Qi,Qj) > QueryDist(Qi)  =>  avoid
-//	Lemma 2: dist(Qi,Qj) - dist(O,Qj) > QueryDist(Qi)  =>  avoid
-//
-// It also reports which lemma fired (Lemma 1 is tested first, so under
-// AvoidBoth a pair satisfying both is Lemma 1's) and how many probes the
-// decision spent.
-func (s *Session) avoidable(qd float64, row []float64, known []knownDist) (avoided, byLemma1 bool, tries int64) {
-	// A lemma switched off by the mode gets an infinite threshold, which
-	// no finite difference exceeds: the probe loop then needs no per-probe
-	// mode test.
-	q1, q2 := qd, qd
-	switch s.proc.opts.Avoidance {
-	case AvoidLemma1:
-		q2 = math.Inf(1)
-	case AvoidLemma2:
-		q1 = math.Inf(1)
-	}
-	if len(known) > maxAvoidProbes {
-		known = known[:maxAvoidProbes]
-	}
-	for i, k := range known {
-		mij := row[k.idx]
-		if k.d-mij > q1 || mij-k.d > q2 {
-			return true, k.d-mij > q1, int64(i + 1)
-		}
-	}
-	return false, false, int64(len(known))
-}
-
 // abandonLimit returns the early-abandonment limit for the distance between
 // the current item and a query with pruning distance qd: qd, raised so that
 // an abandoned calculation can never change a later avoidance decision for
-// the same item. A known distance d(O, Q_a) influences query i via Lemma 1
+// the same item. A sweep entry d(O, Q_a) influences query i via Lemma 1
 // only when it exceeds the horizon dist(Q_a, Q_i) + QueryDist(Q_i), and via
 // Lemma 2 only when it falls below dist(Q_a, Q_i) - QueryDist(Q_i);
 // abandoning strictly above every probing query's Lemma-1 horizon therefore
@@ -837,14 +857,15 @@ func (s *Session) avoidable(qd float64, row []float64, known []knownDist) (avoid
 // distance would, and — since the Lemma-1 horizon is at or above the
 // Lemma-2 one whenever QueryDist(Q_i) >= 0 — that Lemma 2 can never fire on
 // the lower bound where the exact distance would not (neither can fire at
-// all above the horizon). Any limit at or above the horizons preserves this — a
-// larger limit merely abandons less — so raise is the cached per-page
-// suffix maximum from lemma1Raises rather than an exact per-pair O(m)
-// loop, which would itself dominate the per-pair bookkeeping. The raise is
-// skipped when the known entry can never be probed (the list already holds
-// maxAvoidProbes entries).
-func abandonLimit(qd, raise float64, knownLen int) float64 {
-	if knownLen >= maxAvoidProbes {
+// all above the horizon). Any limit at or above the horizons preserves
+// this — a larger limit merely abandons less — so raise is the cached
+// per-page suffix maximum from lemma1Raises rather than an exact per-pair
+// O(m) loop, which would itself dominate the per-pair bookkeeping. entries
+// is the number of the item's distances computed before this one; the
+// raise is skipped when the new distance is never swept (the item already
+// has maxAvoidProbes entries).
+func abandonLimit(qd, raise float64, entries int) float64 {
+	if entries >= maxAvoidProbes {
 		return qd
 	}
 	if raise > qd {
@@ -855,8 +876,9 @@ func abandonLimit(qd, raise float64, knownLen int) float64 {
 
 // lemma1Raises fills scratch with, per active position a, the maximum
 // Lemma-1 horizon dist(Q_a, Q_i) + qds[i] over the *later* positions i > a
-// — the only queries that can probe a known entry appended at position a,
-// since the known list is per item and scanned in active order. Infinite
+// — the only queries a sweep entry computed at position a can be tested
+// against, since the sweep computes an item's queries in active order and
+// tests each entry only on the queries still undecided after it. Infinite
 // pruning distances contribute no horizon (no lemma can fire against an
 // infinite query distance); with no later finite-qd query the raise is
 // -Inf and abandonLimit falls back to the query's own pruning distance.

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"metricdb/internal/store"
@@ -46,6 +48,17 @@ func less(a, b Answer) bool {
 		return a.Dist < b.Dist
 	}
 	return a.ID < b.ID
+}
+
+// compareAnswers is less as a three-way comparison, for slices.SortFunc.
+func compareAnswers(a, b Answer) int {
+	if a.Dist != b.Dist {
+		if a.Dist < b.Dist {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Consider offers an answer to the list. It returns true if the answer
@@ -97,10 +110,12 @@ func (l *AnswerList) Len() int { return len(l.answers) }
 func (l *AnswerList) Type() Type { return l.typ }
 
 // Answers returns the answers in ascending (distance, ID) order. The
-// returned slice is owned by the list; callers must not modify it.
+// returned slice is owned by the list; callers must not modify it. Item
+// IDs are unique within a list, so the order is total and the unstable
+// sort deterministic.
 func (l *AnswerList) Answers() []Answer {
 	if !l.sorted {
-		sort.Slice(l.answers, func(i, j int) bool { return less(l.answers[i], l.answers[j]) })
+		slices.SortFunc(l.answers, compareAnswers)
 		l.sorted = true
 	}
 	return l.answers
