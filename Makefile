@@ -24,12 +24,14 @@ test:
 race:
 	go test -race ./...
 
-# The pipeline determinism gate: differential (width 1 vs 2 vs 8), Lemma
-# 1/2 soundness properties, the bounded-kernel contract properties, the
-# session/pager stress tests, and the store concurrency tests — all under
-# the race detector.
+# The determinism gate: the differential harness (engines vs scan, traced
+# vs untraced, SoA vs AoS, file-backed vs simulated storage, incremental vs
+# one-shot, pinned avoidance counters), Lemma 1/2 soundness properties,
+# the bounded-kernel contract properties, the shared session/processor
+# stress tests, and the store concurrency tests — all under the race
+# detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight' \
+	go test -race -count=1 -run '^(TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight)' \
 		./internal/msq/ ./internal/store/ ./internal/vec/
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
@@ -60,14 +62,12 @@ perfbench-smoke:
 # The perf gate for the hot path: kernel microbenchmarks (full Distance vs
 # bounded DistanceWithin, with allocation counts for the scratch-reuse
 # check), then the end-to-end artifacts — the kernels experiment
-# (BENCH_kernels.json), the intra pipeline sweep
-# (BENCH_parallel_intra.json) and the phase-latency profile
-# (BENCH_obs.json).
+# (BENCH_kernels.json), the phase-latency profile (BENCH_obs.json) and the
+# rest of the BENCH_*.json set.
 bench:
 	go test -bench='BenchmarkDistance|BenchmarkSortRefs|BenchmarkMultiQueryAll' -benchmem -run=^$$ \
 		./internal/vec/ ./internal/vafile/ ./internal/msq/
 	go run ./cmd/msqbench -experiment kernels
-	go run ./cmd/msqbench -experiment intra
 	go run ./cmd/msqbench -experiment obs
 	go run ./cmd/msqbench -experiment distobs
 	go run ./cmd/msqbench -experiment load
@@ -94,7 +94,6 @@ bench-all:
 bench-compare:
 	@rm -rf .bench-fresh && mkdir -p .bench-fresh
 	go run ./cmd/msqbench -experiment kernels -kernels-out .bench-fresh/BENCH_kernels.json > /dev/null
-	go run ./cmd/msqbench -experiment intra -intra-out .bench-fresh/BENCH_parallel_intra.json > /dev/null
 	go run ./cmd/msqbench -experiment obs -obs-out .bench-fresh/BENCH_obs.json > /dev/null
 	go run ./cmd/msqbench -experiment distobs -distobs-out .bench-fresh/BENCH_distobs.json > /dev/null
 	go run ./cmd/msqbench -experiment load -load-out .bench-fresh/BENCH_load.json > /dev/null
@@ -104,7 +103,6 @@ bench-compare:
 	go run ./cmd/msqbench -experiment advisor -advisor-out .bench-fresh/BENCH_advisor.json > /dev/null
 	go run ./cmd/benchcompare -tolerance 0.10 -speedup-tolerance 0.50 \
 		BENCH_kernels.json .bench-fresh/BENCH_kernels.json \
-		BENCH_parallel_intra.json .bench-fresh/BENCH_parallel_intra.json \
 		BENCH_obs.json .bench-fresh/BENCH_obs.json \
 		BENCH_distobs.json .bench-fresh/BENCH_distobs.json \
 		BENCH_load.json .bench-fresh/BENCH_load.json \

@@ -4,9 +4,8 @@
 //
 // Usage:
 //
-//	msqbench [-experiment all|micro|fig7|fig8|fig9|fig10|fig11|fig12|chaos|intra|kernels|block|obs|distobs|load|storage|engines|advisor]
+//	msqbench [-experiment all|micro|fig7|fig8|fig9|fig10|fig11|fig12|chaos|kernels|block|obs|distobs|load|storage|engines|advisor]
 //	         [-scale small|medium|paper] [-csv dir] [-measure]
-//	         [-intra-out BENCH_parallel_intra.json]
 //	         [-kernels-out BENCH_kernels.json]
 //	         [-block-out BENCH_block.json]
 //	         [-obs-out BENCH_obs.json]
@@ -20,13 +19,6 @@
 // over 4 servers, injects disk faults into 0..3 of them, and reports the
 // degraded-mode coverage and recall of the surviving cluster.
 //
-// The intra experiment is not a paper figure either: it sweeps the
-// intra-server pipeline width of the multi-query processor (goroutines
-// evaluating each page, with page I/O prefetched alongside), reports the
-// wall-clock speedup per engine, re-checks that every width returned
-// answers and page reads identical to the sequential run, and writes the
-// results to -intra-out as JSON.
-//
 // The kernels experiment microbenchmarks the bounded distance kernels:
 // full Distance against early-abandoning DistanceWithin per metric, vector
 // dimensionality and abandon rate, writing the ns/op table to -kernels-out
@@ -36,13 +28,13 @@
 // end: sequential page-pass throughput of one m-query batch on the scan
 // engine across dimensionality (4 to 64) × batch width × layout (aos,
 // soa), re-checking on the measured runs that soa answers and page reads
-// are bit-identical to aos at pipeline widths 1, 2 and 8. Results go to
-// -block-out as JSON.
+// are bit-identical to aos. Results go to -block-out as JSON.
 //
 // The obs experiment profiles the multi-query processor with the
 // observability tracer enabled: per-phase latency histograms (page fetch
-// and wait, query-distance matrix, kernel, avoidance checks, merge) per
-// engine and pipeline width, re-checking that every traced run returned
+// and wait, plan, query-distance matrix, and the page evaluation's
+// avoidance checks, kernels and merge) per engine, re-checking that every
+// traced run returned
 // answers and counters identical to an untraced reference, and writes the
 // phase baseline to -obs-out as JSON.
 //
@@ -51,9 +43,9 @@
 // a transient disk fault, forcing a retried attempt), checks that a single
 // stitched cross-server trace with one child span per server call was
 // recorded and that traced and untraced runs returned bit-identical
-// answers and counters at every pipeline width, verifies the per-query
-// EXPLAIN profile's width stability, and writes the results to
-// -distobs-out as JSON.
+// answers and counters, verifies that the per-query EXPLAIN profile adds
+// up to its batch counters, and writes the results to -distobs-out as
+// JSON.
 //
 // The load experiment drives an admission-controlled wire server with an
 // open-loop generator through ramp, spike and sustained-overload traffic
@@ -74,8 +66,8 @@
 // The engines experiment compares every physical organization the engine
 // registry can build (scan, xtree, vafile, pivot, pmtree) on one k-NN
 // batch across dimensionality × batch width, re-checking that each engine
-// answered bit-identically to the sequential scan at pipeline widths 1 and
-// 8, and writes the deterministic work counters (distance calculations,
+// answered bit-identically to the scan, and writes the deterministic work
+// counters (distance calculations,
 // pages read, pivot setup distances) to -engines-out as JSON.
 //
 // The advisor experiment evaluates the calibration loop: per engine and
@@ -108,11 +100,10 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run: all, micro, fig7..fig12, chaos, intra, kernels, block, obs, distobs, load, storage, engines, advisor")
+		experiment = flag.String("experiment", "all", "experiment to run: all, micro, fig7..fig12, chaos, kernels, block, obs, distobs, load, storage, engines, advisor")
 		scaleName  = flag.String("scale", "small", "dataset scale: small, medium or paper")
 		csvDir     = flag.String("csv", "", "also write each figure as CSV into this directory")
 		measure    = flag.Bool("measure", false, "calibrate the cost model on this host instead of nominal 1999 constants")
-		intraOut   = flag.String("intra-out", "BENCH_parallel_intra.json", "output file for the intra experiment's JSON results")
 		kernelsOut = flag.String("kernels-out", "BENCH_kernels.json", "output file for the kernels experiment's JSON results")
 		blockOut   = flag.String("block-out", "BENCH_block.json", "output file for the block experiment's JSON results")
 		obsOut     = flag.String("obs-out", "BENCH_obs.json", "output file for the obs experiment's JSON results")
@@ -123,13 +114,13 @@ func main() {
 		advisorOut = flag.String("advisor-out", "BENCH_advisor.json", "output file for the advisor experiment's JSON results")
 	)
 	flag.Parse()
-	if err := run(*experiment, *scaleName, *csvDir, *measure, *intraOut, *kernelsOut, *blockOut, *obsOut, *distObsOut, *loadOut, *storageOut, *enginesOut, *advisorOut); err != nil {
+	if err := run(*experiment, *scaleName, *csvDir, *measure, *kernelsOut, *blockOut, *obsOut, *distObsOut, *loadOut, *storageOut, *enginesOut, *advisorOut); err != nil {
 		fmt.Fprintln(os.Stderr, "msqbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOut, blockOut, obsOut, distObsOut, loadOut, storageOut, enginesOut, advisorOut string) error {
+func run(experiment, scaleName, csvDir string, measure bool, kernelsOut, blockOut, obsOut, distObsOut, loadOut, storageOut, enginesOut, advisorOut string) error {
 	sc, err := experiments.ScaleByName(scaleName)
 	if err != nil {
 		return err
@@ -143,7 +134,7 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 	want := func(name string) bool { return experiment == "all" || experiment == name }
 	valid := map[string]bool{"all": true, "micro": true, "fig7": true, "fig8": true,
 		"fig9": true, "fig10": true, "fig11": true, "fig12": true, "chaos": true,
-		"intra": true, "kernels": true, "block": true, "obs": true, "distobs": true,
+		"kernels": true, "block": true, "obs": true, "distobs": true,
 		"load": true, "storage": true, "engines": true, "advisor": true}
 	if !valid[experiment] {
 		return fmt.Errorf("unknown experiment %q", experiment)
@@ -258,12 +249,11 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 	needSweep := want("fig7") || want("fig8") || want("fig9") || want("fig10")
 	needParallel := want("fig11") || want("fig12")
 	needChaos := want("chaos")
-	needIntra := want("intra")
 	needObs := want("obs")
 	needDistObs := want("distobs")
 	needLoad := want("load")
 	needStorage := want("storage")
-	if !needSweep && !needParallel && !needChaos && !needIntra && !needObs && !needDistObs && !needLoad && !needStorage {
+	if !needSweep && !needParallel && !needChaos && !needObs && !needDistObs && !needLoad && !needStorage {
 		return nil
 	}
 
@@ -321,41 +311,17 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 		}
 	}
 
-	if needIntra {
-		var sweeps []*experiments.IntraSweep
-		for _, wl := range workloads {
-			sweep, err := experiments.RunIntra(wl.w, []int{1, 2, 4, 8}, sc.BaseM)
-			if err != nil {
-				return err
-			}
-			for _, r := range sweep.Results {
-				if !r.Identical {
-					return fmt.Errorf("intra: %s/%s width %d returned different answers or page reads than sequential",
-						r.Workload, r.Engine, r.Width)
-				}
-			}
-			if err := emit(sweep.Figure()); err != nil {
-				return err
-			}
-			sweeps = append(sweeps, sweep)
-		}
-		if err := experiments.WriteIntraJSONFile(intraOut, sweeps); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", intraOut)
-	}
-
 	if needObs {
 		var profiles []*experiments.ObsProfile
 		for _, wl := range workloads {
-			profile, err := experiments.RunObs(wl.w, []int{1, 2, 8}, sc.BaseM)
+			profile, err := experiments.RunObs(wl.w, sc.BaseM)
 			if err != nil {
 				return err
 			}
 			for _, r := range profile.Results {
 				if !r.Identical {
-					return fmt.Errorf("obs: %s/%s width %d: traced run diverged from the untraced reference",
-						r.Workload, r.Engine, r.Width)
+					return fmt.Errorf("obs: %s/%s: traced run diverged from the untraced reference",
+						r.Workload, r.Engine)
 				}
 			}
 			if err := emit(profile.Figure()); err != nil {
@@ -372,28 +338,28 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 	if needDistObs {
 		var profiles []*experiments.DistObsProfile
 		for _, wl := range workloads {
-			profile, err := experiments.RunDistObs(wl.w, 4, []int{1, 2, 8}, sc.BaseM)
+			profile, err := experiments.RunDistObs(wl.w, 4, sc.BaseM)
 			if err != nil {
 				return err
 			}
 			for _, r := range profile.Runs {
 				if !r.Identical {
-					return fmt.Errorf("distobs: %s width %d: traced run diverged from the untraced reference",
-						profile.Workload, r.Width)
+					return fmt.Errorf("distobs: %s: traced run diverged from the untraced reference",
+						profile.Workload)
 				}
 				if r.Traces != 1 {
-					return fmt.Errorf("distobs: %s width %d: %d stitched traces, want exactly 1",
-						profile.Workload, r.Width, r.Traces)
+					return fmt.Errorf("distobs: %s: %d stitched traces, want exactly 1",
+						profile.Workload, r.Traces)
 				}
 				if r.ServerCalls < profile.Servers+1 {
-					return fmt.Errorf("distobs: %s width %d: %d server_call spans, want >= %d (servers + retried attempt)",
-						profile.Workload, r.Width, r.ServerCalls, profile.Servers+1)
+					return fmt.Errorf("distobs: %s: %d server_call spans, want >= %d (servers + retried attempt)",
+						profile.Workload, r.ServerCalls, profile.Servers+1)
 				}
 			}
 			for _, e := range profile.Explain {
 				if !e.Stable {
-					return fmt.Errorf("distobs: %s: EXPLAIN profile moved between widths %d and %d",
-						profile.Workload, profile.Explain[0].Width, e.Width)
+					return fmt.Errorf("distobs: %s: EXPLAIN profile does not add up to its batch counters",
+						profile.Workload)
 				}
 			}
 			if err := emit(profile.Figure()); err != nil {

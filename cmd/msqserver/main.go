@@ -8,7 +8,6 @@
 //	msqserver -addr :7707 [-data file.gob|dataset-dir] [-mmap]
 //	          [-n 20000] [-dim 16]
 //	          [-engine scan|xtree|vafile|pivot|pmtree] [-layout aos|soa]
-//	          [-concurrency 1]
 //	          [-max-conns 0] [-max-request-bytes 1048576]
 //	          [-read-timeout 0] [-write-timeout 10s] [-drain 5s]
 //	          [-admin 127.0.0.1:7708] [-slow-query 100ms]
@@ -94,7 +93,6 @@ func main() {
 		dim      = flag.Int("dim", 16, "generated dataset dimensionality")
 		engine   = flag.String("engine", "xtree", "physical organization: scan, xtree, vafile, pivot or pmtree")
 		layout   = flag.String("layout", "", "page layout: aos (default) or soa — soa attaches float64 page blocks, which run the blocked row kernels")
-		width    = flag.Int("concurrency", 1, "intra-server pipeline width per query batch (1 = sequential)")
 
 		maxConns  = flag.Int("max-conns", 0, "concurrent connection limit (0 = unlimited)")
 		maxReqLen = flag.Int("max-request-bytes", wire.DefaultMaxRequestBytes, "request line size cap")
@@ -121,7 +119,6 @@ func main() {
 		MaxRequestBytes: *maxReqLen,
 		MaxConns:        *maxConns,
 		Logf:            log.Printf,
-		Concurrency:     *width,
 	}
 	if *admitOn {
 		cfg.Admit = &admit.Config{

@@ -23,7 +23,6 @@ func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
 		{Engine: "btree"},
 		{PageCapacity: -1},
-		{Concurrency: -2},
 		{VAFileBits: -1},
 		{Engine: EngineXTree, XTree: &XTreeOptions{MaxOverlap: 1.5}},
 		{Engine: EngineXTree, XTree: &XTreeOptions{MinFillRatio: 0.9}},
@@ -124,12 +123,12 @@ func TestBatchContextCancellationAndResume(t *testing.T) {
 }
 
 func TestProcessorStatsFacade(t *testing.T) {
-	db, err := Open(testItems(82, 200, 4), Options{Concurrency: 3})
+	db, err := Open(testItems(82, 200, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := db.ProcessorStats()
-	if st.Concurrency != 3 || st.Avoidance != AvoidBoth {
+	if st.Avoidance != AvoidBoth {
 		t.Errorf("fresh ProcessorStats = %+v", st)
 	}
 	if st.DistCalcs != 0 {
@@ -144,17 +143,5 @@ func TestProcessorStatsFacade(t *testing.T) {
 	}
 	if after.PartialAbandoned > after.DistCalcs {
 		t.Errorf("PartialAbandoned %d exceeds DistCalcs %d", after.PartialAbandoned, after.DistCalcs)
-	}
-
-	// WithConcurrency shares the counters and storage but repins the width.
-	wide := db.WithConcurrency(8)
-	if got := wide.ProcessorStats().Concurrency; got != 8 {
-		t.Errorf("WithConcurrency(8) width = %d", got)
-	}
-	if got := wide.ProcessorStats().DistCalcs; got != after.DistCalcs {
-		t.Errorf("WithConcurrency counters diverged: %d != %d", got, after.DistCalcs)
-	}
-	if db.ProcessorStats().Concurrency != 3 {
-		t.Error("WithConcurrency mutated the receiver")
 	}
 }

@@ -60,11 +60,6 @@ type Options struct {
 	// Avoidance selects the triangle-inequality mode; the zero value is
 	// AvoidBoth.
 	Avoidance AvoidanceMode
-	// Concurrency is the intra-server pipeline width of the multi-query
-	// processor: how many goroutines evaluate each data page, with page
-	// I/O prefetched alongside. 0 and 1 run sequentially. Results are
-	// bit-identical at every width (see internal/msq/pipeline.go).
-	Concurrency int
 	// XTree overrides advanced X-tree parameters; nil uses defaults
 	// derived from PageCapacity.
 	XTree *XTreeOptions
@@ -143,9 +138,6 @@ func (o Options) Validate() error {
 	}
 	if o.PageCapacity < 0 {
 		return fmt.Errorf("metricdb: page capacity must be >= 0 (0 derives from 32 KB blocks), got %d", o.PageCapacity)
-	}
-	if o.Concurrency < 0 {
-		return fmt.Errorf("metricdb: concurrency must be >= 0, got %d", o.Concurrency)
 	}
 	if o.VAFileBits < 0 {
 		return fmt.Errorf("metricdb: VA-file bits must be >= 0 (0 selects the default), got %d", o.VAFileBits)
@@ -266,8 +258,7 @@ type DB struct {
 	proc  *msq.Processor
 	opts  Options
 	// calib is the predicted-vs-observed calibration meter, nil unless
-	// Options.Calibrate was set. Held by pointer so WithConcurrency's
-	// struct copy shares one recorder.
+	// Options.Calibrate was set.
 	calib *calibMeter
 	// closers holds the file-backed disks of a stored database; nil for
 	// the in-memory databases Open builds.
@@ -296,7 +287,7 @@ func Open(items []Item, opts Options) (*DB, error) {
 		return nil, err
 	}
 
-	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency})
+	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance})
 	if err != nil {
 		return nil, err
 	}
@@ -484,8 +475,6 @@ func (db *DB) Ranking(q Vector) (*Ranking, error) {
 type ProcessorStats struct {
 	// Avoidance is the active triangle-inequality mode.
 	Avoidance AvoidanceMode
-	// Concurrency is the effective intra-server pipeline width (>= 1).
-	Concurrency int
 	// Layout names the page representation the database was built or
 	// opened with: "soa" when pages carry float64 blocks (Options.Layout
 	// "soa", or a stored columnar dataset), else "aos".
@@ -507,7 +496,6 @@ type ProcessorStats struct {
 func (db *DB) ProcessorStats() ProcessorStats {
 	ps := ProcessorStats{
 		Avoidance:        db.proc.Options().Avoidance,
-		Concurrency:      db.proc.Concurrency(),
 		Layout:           db.opts.Layout,
 		DistCalcs:        db.proc.Metric().Count(),
 		PartialAbandoned: db.proc.Metric().Abandoned(),
@@ -522,24 +510,11 @@ func (db *DB) ProcessorStats() ProcessorStats {
 	return ps
 }
 
-// WithConcurrency returns a DB sharing this DB's storage, buffer, and
-// counters but answering batches at the given intra-server pipeline width
-// (0 and 1 select the sequential path). It is the tuning facade for serving
-// layers that pin widths per workload; answers are bit-identical at every
-// width.
-func (db *DB) WithConcurrency(n int) *DB {
-	ndb := *db
-	ndb.proc = db.proc.WithConcurrency(n)
-	ndb.opts.Concurrency = ndb.proc.Options().Concurrency
-	return &ndb
-}
-
 // Processor exposes the underlying multiple-similarity-query processor for
 // in-module integrations such as the wire server.
 //
 // Deprecated: Processor leaks the internal msq package through the public
 // API, so code outside this module cannot use the returned value. Use
-// Query/QueryContext, NewBatch, ProcessorStats, and WithConcurrency
-// instead; in-module integrations (cmd/msqserver) remain the only
-// sanctioned callers.
+// Query/QueryContext, NewBatch and ProcessorStats instead; in-module
+// integrations (cmd/msqserver) remain the only sanctioned callers.
 func (db *DB) Processor() *msq.Processor { return db.proc }

@@ -48,8 +48,7 @@ type PreparedQuery interface {
 	// optimal processing order. Index engines return pages in ascending
 	// MinDist order (the Hjaltason–Samet schedule, proven I/O-optimal for
 	// k-NN); the scan returns all pages in physical order so that reads
-	// are sequential. Each page appears at most once in a plan — the msq
-	// pipeline's ordered prefetcher depends on plans being duplicate-free.
+	// are sequential. Each page appears at most once in a plan.
 	Plan(queryDist float64) []PageRef
 
 	// MinDist returns a lower bound on dist(q, o) for every item o on

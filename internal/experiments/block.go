@@ -22,11 +22,10 @@ import (
 // the wall-clock page-pass throughput of one m-query batch on the scan
 // engine as (dimensionality × batch width × layout) varies, always
 // re-checking on the measured runs themselves that SoA is bit-identical to
-// AoS in answers and page reads at pipeline widths 1, 2 and 8. Avoidance
-// is off: that is the regime where the row kernels engage
-// (and the regime Figure 8 uses as its no-avoidance baseline), so the
-// measurement isolates the layout effect from the lemmas. The results are
-// the BENCH_block.json artifact.
+// AoS in answers and page reads. Avoidance is off: that is the regime
+// where the row kernels engage (and the regime Figure 8 uses as its
+// no-avoidance baseline), so the measurement isolates the layout effect
+// from the lemmas. The results are the BENCH_block.json artifact.
 
 // BlockResult is one (dim, m, layout) measurement.
 type BlockResult struct {
@@ -42,8 +41,7 @@ type BlockResult struct {
 	// DistCalcs is the sequential run's deterministic kernel count.
 	DistCalcs int64 `json:"dist_calcs"`
 	// Identical reports the layout's correctness contract against the
-	// sequential AoS reference, checked at widths 1, 2 and 8: answers
-	// bit-identical and page reads identical.
+	// AoS reference: answers bit-identical and page reads identical.
 	Identical bool `json:"identical"`
 }
 
@@ -58,8 +56,6 @@ type BlockSweep struct {
 }
 
 const blockCapacity = 256
-
-var blockWidths = []int{1, 2, 8}
 
 // blockLayouts is the sweep's layout axis: whether the engine attaches a
 // float64 block to every page, which selects the row kernels.
@@ -132,20 +128,7 @@ func blockEval(proc *msq.Processor, queries []msq.Query) (blockRun, error) {
 // blockIdentical checks the layout's answer contract against the AoS
 // reference: exact equality of answers and page reads.
 func blockIdentical(ref, got blockRun) bool {
-	if len(ref.answers) != len(got.answers) {
-		return false
-	}
-	for q := range ref.answers {
-		if len(ref.answers[q]) != len(got.answers[q]) {
-			return false
-		}
-		for i := range ref.answers[q] {
-			if ref.answers[q][i] != got.answers[q][i] {
-				return false
-			}
-		}
-	}
-	return got.stats.PagesRead == ref.stats.PagesRead && got.stats.PageVisits == ref.stats.PageVisits
+	return enginesIdentical(ref, got) && got.stats.PagesRead == ref.stats.PagesRead && got.stats.PageVisits == ref.stats.PageVisits
 }
 
 // timeBatch reports the best wall time of fn over enough repetitions to
@@ -183,22 +166,18 @@ func RunBlockLayouts(dims, ms []int, n int) (*BlockSweep, error) {
 			var aosRef blockRun
 			var aosNsPerPair float64
 			for _, lay := range blockLayouts {
-				// A fresh engine per evaluated run keeps the buffer cold,
-				// so PagesRead of independent runs is comparable (the
+				// A fresh engine per layout keeps the buffer cold, so
+				// PagesRead of the two reference runs is comparable (the
 				// convention of the differential harness).
-				freshProc := func(width int) (*msq.Processor, error) {
-					eng, err := scan.NewWithConfig(items, scan.Config{
-						PageCapacity: blockCapacity,
-						BufferPages:  (n + blockCapacity - 1) / blockCapacity,
-						Columnar:     lay.columnar,
-					})
-					if err != nil {
-						return nil, err
-					}
-					return msq.New(eng, vec.Euclidean{}, msq.Options{Avoidance: msq.AvoidOff, Concurrency: width})
+				eng, err := scan.NewWithConfig(items, scan.Config{
+					PageCapacity: blockCapacity,
+					BufferPages:  (n + blockCapacity - 1) / blockCapacity,
+					Columnar:     lay.columnar,
+				})
+				if err != nil {
+					return nil, err
 				}
-
-				proc, err := freshProc(1)
+				proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Avoidance: msq.AvoidOff})
 				if err != nil {
 					return nil, err
 				}
@@ -206,27 +185,11 @@ func RunBlockLayouts(dims, ms []int, n int) (*BlockSweep, error) {
 				if err != nil {
 					return nil, err
 				}
-				res := BlockResult{Dim: dim, M: m, Layout: lay.name,
-					DistCalcs: ref.stats.DistCalcs, Identical: true}
 				if lay.name == "aos" {
 					aosRef = ref
 				}
-				if !blockIdentical(aosRef, ref) {
-					res.Identical = false
-				}
-				for _, width := range blockWidths[1:] {
-					wproc, err := freshProc(width)
-					if err != nil {
-						return nil, err
-					}
-					run, err := blockEval(wproc, queries)
-					if err != nil {
-						return nil, err
-					}
-					if !blockIdentical(aosRef, run) {
-						res.Identical = false
-					}
-				}
+				res := BlockResult{Dim: dim, M: m, Layout: lay.name,
+					DistCalcs: ref.stats.DistCalcs, Identical: blockIdentical(aosRef, ref)}
 
 				// Timing reuses proc's engine: after the reference run its
 				// buffer holds the whole dataset, so the measurement is the

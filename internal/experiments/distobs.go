@@ -28,12 +28,14 @@ import (
 // coordinator's retry appears as a sibling attempt span. The experiment
 // asserts the tentpole contracts — a single stitched cross-server trace
 // with one child span per server call (retries included), and
-// traced-vs-untraced bit-identity of answers and counters at every
-// pipeline width — and records the per-query EXPLAIN width-stability
-// check. The results are the BENCH_distobs.json artifact.
+// traced-vs-untraced bit-identity of answers and counters — and records a
+// per-query EXPLAIN profile that must reconcile with its batch counters.
+// The results are the BENCH_distobs.json artifact.
 
-// DistObsRun is one (width, traced?) comparison over the wire cluster.
+// DistObsRun is one traced-vs-untraced comparison over the wire cluster.
 type DistObsRun struct {
+	// Width is always 1 — each server evaluates a batch in one sequential
+	// page loop — and keys the row against earlier baselines.
 	Width   int     `json:"width"`
 	Seconds float64 `json:"seconds"`
 	// Identical reports whether the traced run's merged answers and
@@ -58,15 +60,18 @@ type DistObsRun struct {
 	DistCalcs int64 `json:"dist_calcs"`
 }
 
-// DistObsExplain is the per-query EXPLAIN profile summary at one width.
+// DistObsExplain is the per-query EXPLAIN profile summary.
 type DistObsExplain struct {
+	// Width is always 1, as in DistObsRun.
 	Width int `json:"width"`
 	// PagesVisited, Offered (DistCalcs + avoided by either lemma) and
-	// Answers per query position — the width-invariant profile columns.
+	// Answers per query position.
 	PagesVisited []int64 `json:"pages_visited"`
 	Offered      []int64 `json:"offered"`
 	Answers      []int   `json:"answers"`
-	// Stable reports whether all three columns matched the first width.
+	// Stable reports whether the columns reconcile with the call's batch
+	// counters: pages visited sum to PageVisits and the offered sets to
+	// DistCalcs + Avoided.
 	Stable bool `json:"stable"`
 }
 
@@ -75,7 +80,6 @@ type DistObsProfile struct {
 	Workload string           `json:"workload"`
 	M        int              `json:"m"`
 	Servers  int              `json:"servers"`
-	Widths   []int            `json:"widths"`
 	Runs     []DistObsRun     `json:"runs"`
 	Explain  []DistObsExplain `json:"explain"`
 }
@@ -98,11 +102,11 @@ func (c *distObsCluster) close() {
 }
 
 // newDistObsCluster partitions the workload round-robin over s wire
-// servers at the given pipeline width. With traced true every process
+// servers. With traced true every process
 // gets a node-labelled tracer and the coordinator propagates trace
 // contexts; with traced false no tracer exists anywhere (the reference
 // configuration).
-func newDistObsCluster(w Workload, s, width int, traced bool) (*distObsCluster, error) {
+func newDistObsCluster(w Workload, s int, traced bool) (*distObsCluster, error) {
 	parts, err := parallel.Decluster(w.Items, s, parallel.RoundRobin, 0)
 	if err != nil {
 		return nil, err
@@ -128,7 +132,7 @@ func newDistObsCluster(w Workload, s, width int, traced bool) (*distObsCluster, 
 			c.close()
 			return nil, err
 		}
-		proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Concurrency: width})
+		proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{})
 		if err != nil {
 			c.close()
 			return nil, err
@@ -211,126 +215,114 @@ func sameWireAnswers(a, b [][]wire.Answer) bool {
 	return true
 }
 
-// RunDistObs runs the m-query batch over s wire servers at every width,
-// comparing each traced run against an untraced run of an identically
-// built (and identically faulted) cluster, then checks the EXPLAIN
-// profile's width stability on a single-node processor.
-func RunDistObs(w Workload, s int, widths []int, m int) (*DistObsProfile, error) {
+// RunDistObs runs the m-query batch over s wire servers, comparing the
+// traced run against an untraced run of an identically built (and
+// identically faulted) cluster, then profiles the batch with EXPLAIN on a
+// single-node processor.
+func RunDistObs(w Workload, s, m int) (*DistObsProfile, error) {
 	queries, err := w.Queries(w.querySeed()+29, m)
 	if err != nil {
 		return nil, err
 	}
 	specs := toSpecs(queries)
-	profile := &DistObsProfile{Workload: w.Name, M: m, Servers: s, Widths: widths}
+	profile := &DistObsProfile{Workload: w.Name, M: m, Servers: s}
 
-	for _, width := range widths {
-		run := func(traced bool) ([][]wire.Answer, wire.Stats, *obs.Tracer, float64, error) {
-			c, err := newDistObsCluster(w, s, width, traced)
-			if err != nil {
-				return nil, wire.Stats{}, nil, 0, err
-			}
-			defer c.close()
-			start := time.Now()
-			answers, stats, err := c.coord.MultiAllContext(context.Background(), specs)
-			return answers, stats, c.coordTr, time.Since(start).Seconds(), err
-		}
-
-		refAnswers, refStats, _, _, err := run(false)
+	run := func(traced bool) ([][]wire.Answer, wire.Stats, *obs.Tracer, float64, error) {
+		c, err := newDistObsCluster(w, s, traced)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: distobs width %d untraced: %w", width, err)
+			return nil, wire.Stats{}, nil, 0, err
 		}
-		answers, stats, tr, elapsed, err := run(true)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: distobs width %d traced: %w", width, err)
-		}
-
-		res := DistObsRun{
-			Width:   width,
-			Seconds: elapsed,
-			Identical: sameWireAnswers(refAnswers, answers) &&
-				stats.PagesRead == refStats.PagesRead &&
-				stats.DistCalcs == refStats.DistCalcs &&
-				stats.Avoided == refStats.Avoided &&
-				stats.AvoidTries == refStats.AvoidTries,
-			PagesRead: stats.PagesRead,
-			DistCalcs: stats.DistCalcs,
-		}
-		ids := tr.TraceIDs()
-		res.Traces = len(ids)
-		if len(ids) > 0 {
-			root := tr.Trace(ids[0])
-			nodes := map[string]bool{}
-			var walk func(n *obs.TraceNode)
-			walk = func(n *obs.TraceNode) {
-				res.Spans++
-				if n.Name == "server_call" {
-					res.ServerCalls++
-					if n.Attempt > 1 {
-						res.Retries++
-					}
-				}
-				if n.Node != "" && n.Node != "coordinator" {
-					nodes[n.Node] = true
-				}
-				for _, ch := range n.Children {
-					walk(ch)
-				}
-			}
-			walk(root)
-			res.RemoteNodes = len(nodes)
-		}
-		profile.Runs = append(profile.Runs, res)
+		defer c.close()
+		start := time.Now()
+		answers, stats, err := c.coord.MultiAllContext(context.Background(), specs)
+		return answers, stats, c.coordTr, time.Since(start).Seconds(), err
 	}
 
-	// EXPLAIN width stability on one node over the full workload: the
-	// profile columns that the width-stability contract guarantees —
-	// pages visited, the offered set (calculated + avoided pairs), and
-	// answer counts per query — must not move with the pipeline width.
-	for _, width := range widths {
-		eng, err := ScanMaker(w).Make()
-		if err != nil {
-			return nil, err
-		}
-		proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Concurrency: width})
-		if err != nil {
-			return nil, err
-		}
-		ex, err := proc.ExplainContext(context.Background(), queries)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: distobs explain width %d: %w", width, err)
-		}
-		de := DistObsExplain{Width: width, Stable: true}
-		for _, p := range ex.Queries {
-			de.PagesVisited = append(de.PagesVisited, p.PagesVisited)
-			de.Offered = append(de.Offered, p.Offered())
-			de.Answers = append(de.Answers, p.Answers)
-		}
-		if len(profile.Explain) > 0 {
-			first := profile.Explain[0]
-			for i := range de.PagesVisited {
-				if de.PagesVisited[i] != first.PagesVisited[i] ||
-					de.Offered[i] != first.Offered[i] ||
-					de.Answers[i] != first.Answers[i] {
-					de.Stable = false
+	refAnswers, refStats, _, _, err := run(false)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: distobs untraced: %w", err)
+	}
+	answers, stats, tr, elapsed, err := run(true)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: distobs traced: %w", err)
+	}
+
+	res := DistObsRun{
+		Width:   1,
+		Seconds: elapsed,
+		Identical: sameWireAnswers(refAnswers, answers) &&
+			stats.PagesRead == refStats.PagesRead &&
+			stats.DistCalcs == refStats.DistCalcs &&
+			stats.Avoided == refStats.Avoided &&
+			stats.AvoidTries == refStats.AvoidTries,
+		PagesRead: stats.PagesRead,
+		DistCalcs: stats.DistCalcs,
+	}
+	ids := tr.TraceIDs()
+	res.Traces = len(ids)
+	if len(ids) > 0 {
+		root := tr.Trace(ids[0])
+		nodes := map[string]bool{}
+		var walk func(n *obs.TraceNode)
+		walk = func(n *obs.TraceNode) {
+			res.Spans++
+			if n.Name == "server_call" {
+				res.ServerCalls++
+				if n.Attempt > 1 {
+					res.Retries++
 				}
 			}
+			if n.Node != "" && n.Node != "coordinator" {
+				nodes[n.Node] = true
+			}
+			for _, ch := range n.Children {
+				walk(ch)
+			}
 		}
-		profile.Explain = append(profile.Explain, de)
+		walk(root)
+		res.RemoteNodes = len(nodes)
 	}
+	profile.Runs = append(profile.Runs, res)
+
+	// EXPLAIN on one node over the full workload: the per-query columns
+	// must add up to the batch counters of the same call.
+	eng, err := ScanMaker(w).Make()
+	if err != nil {
+		return nil, err
+	}
+	proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{})
+	if err != nil {
+		return nil, err
+	}
+	ex, err := proc.ExplainContext(context.Background(), queries)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: distobs explain: %w", err)
+	}
+	de := DistObsExplain{Width: 1}
+	var visited, offered int64
+	for _, p := range ex.Queries {
+		de.PagesVisited = append(de.PagesVisited, p.PagesVisited)
+		de.Offered = append(de.Offered, p.Offered())
+		de.Answers = append(de.Answers, p.Answers)
+		visited += p.PagesVisited
+		offered += p.Offered()
+	}
+	de.Stable = visited == ex.Stats.PageVisits && offered == ex.Stats.DistCalcs+ex.Stats.Avoided
+	profile.Explain = append(profile.Explain, de)
 	return profile, nil
 }
 
-// Figure renders the per-width traced wall clock and the trace shape: how
-// many server calls (including retries) the stitched trace recorded.
+// Figure renders the traced wall clock and the trace shape: how many
+// server calls (including retries) the stitched trace recorded.
 func (p *DistObsProfile) Figure() *report.Figure {
 	fig := &report.Figure{
 		Title:  fmt.Sprintf("Distributed tracing over %d wire servers (%s database, m=%d)", p.Servers, p.Workload, p.M),
-		XLabel: "pipeline width",
+		XLabel: "run",
 		YLabel: "count / seconds",
 	}
 	var secs, calls, retries []float64
-	for _, r := range p.Runs {
-		fig.XVals = append(fig.XVals, float64(r.Width))
+	for i, r := range p.Runs {
+		fig.XVals = append(fig.XVals, float64(i))
 		secs = append(secs, r.Seconds)
 		calls = append(calls, float64(r.ServerCalls))
 		retries = append(retries, float64(r.Retries))

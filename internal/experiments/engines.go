@@ -19,12 +19,12 @@ import (
 // organization through the engine registry — every engine the factory can
 // build, on one fixed-seed dataset per dimensionality — re-checking on the
 // measured runs themselves that each engine answers bit-identically to the
-// sequential scan at pipeline widths 1 and 8. The deterministic work
-// counters (distance calculations, pages read) are the artifact's payload:
-// they are what the cost advisor predicts, and the committed baseline turns
-// "the pivot table prunes distance calculations the scan must perform"
-// into a regression-gated fact (each pivot row's speedup field is the scan
-// row's DistCalcs over that row's DistCalcs + PivotDistCalcs).
+// scan. The deterministic work counters (distance calculations, pages
+// read) are the artifact's payload: they are what the cost advisor
+// predicts, and the committed baseline turns "the pivot table prunes
+// distance calculations the scan must perform" into a regression-gated
+// fact (each pivot row's speedup field is the scan row's DistCalcs over
+// that row's DistCalcs + PivotDistCalcs).
 
 // EngineResult is one (dim, m, engine) measurement.
 type EngineResult struct {
@@ -32,7 +32,7 @@ type EngineResult struct {
 	M      int    `json:"m"`
 	Engine string `json:"engine"`
 	// DistCalcs and PagesRead are the deterministic work counters of the
-	// sequential (width 1) cold run, judged by benchcompare.
+	// cold run, judged by benchcompare.
 	DistCalcs int64 `json:"dist_calcs"`
 	PagesRead int64 `json:"pages_read"`
 	// PivotDistCalcs are the per-query setup distances of the pivot-based
@@ -42,8 +42,8 @@ type EngineResult struct {
 	// work (DistCalcs + PivotDistCalcs) at the same (dim, m): > 1 means
 	// the engine's pruning paid for its setup. Scan rows are exactly 1.
 	Speedup float64 `json:"speedup"`
-	// Identical reports bit-identical answers to the scan at widths 1 and
-	// 8 (exact float equality).
+	// Identical reports bit-identical answers to the scan (exact float
+	// equality).
 	Identical bool `json:"identical"`
 	// NsPerQuery is warm-buffer wall time per query (machine-dependent;
 	// not judged).
@@ -83,7 +83,7 @@ func enginesQueries(rng *rand.Rand, m, dim int) []msq.Query {
 // enginesRun evaluates the batch on a fresh engine (cold buffer, so the
 // I/O counters of different engines are comparable) and returns answers
 // and counters.
-func enginesRun(kind engines.Kind, items []store.Item, dim, width int, queries []msq.Query) (blockRun, *msq.Processor, error) {
+func enginesRun(kind engines.Kind, items []store.Item, dim int, queries []msq.Query) (blockRun, *msq.Processor, error) {
 	eng, err := engines.Build(engines.Spec{
 		Kind: kind, Items: items, Dim: dim,
 		PageCapacity: enginesCapacity,
@@ -93,7 +93,7 @@ func enginesRun(kind engines.Kind, items []store.Item, dim, width int, queries [
 	if err != nil {
 		return blockRun{}, nil, err
 	}
-	proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Concurrency: width})
+	proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{})
 	if err != nil {
 		return blockRun{}, nil, err
 	}
@@ -138,7 +138,7 @@ func RunEngines(dims, ms []int, n int) (*EnginesSweep, error) {
 			var scanRef blockRun
 			var scanDistCalcs int64
 			for _, kind := range kinds {
-				ref, proc, err := enginesRun(kind, items, dim, 1, queries)
+				ref, proc, err := enginesRun(kind, items, dim, queries)
 				if err != nil {
 					return nil, fmt.Errorf("%s dim=%d m=%d: %w", kind, dim, m, err)
 				}
@@ -155,15 +155,7 @@ func RunEngines(dims, ms []int, n int) (*EnginesSweep, error) {
 				if total := res.DistCalcs + res.PivotDistCalcs; total > 0 {
 					res.Speedup = float64(scanDistCalcs) / float64(total)
 				}
-				wide, _, err := enginesRun(kind, items, dim, 8, queries)
-				if err != nil {
-					return nil, fmt.Errorf("%s dim=%d m=%d w=8: %w", kind, dim, m, err)
-				}
-				if !enginesIdentical(scanRef, wide) {
-					res.Identical = false
-				}
-
-				// Timing reuses the sequential run's engine: its buffer now
+				// Timing reuses the reference run's engine: its buffer now
 				// holds every visited page, so the measurement is CPU work
 				// plus buffer hits — engine against engine.
 				elapsed, err := timeBatch(func() error {

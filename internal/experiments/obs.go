@@ -15,10 +15,11 @@ import (
 )
 
 // The obs experiment profiles the multi-query processor with the
-// observability tracer enabled: one multi-query batch per engine and
-// pipeline width, recording the per-phase latency histograms (page fetch
-// and wait, query-distance matrix, distance kernel, Lemma-1/2 avoidance
-// checks, result merge). Each traced run is checked against an untraced
+// observability tracer enabled: one multi-query batch per engine,
+// recording the per-phase latency histograms (page fetch and wait, plan,
+// query-distance matrix, and the page evaluation — Lemma-1/2 avoidance
+// checks, distance kernels and answer merging). Each traced run is checked
+// against an untraced
 // reference run on a fresh engine — answers, page reads, distance
 // calculations, avoidance counters must be bit-identical, the tracing
 // contract. The results are the BENCH_obs.json artifact: the per-phase
@@ -34,10 +35,12 @@ type ObsPhase struct {
 	P99Ns   float64 `json:"p99_ns"`
 }
 
-// ObsResult is one traced (engine, width) run.
+// ObsResult is one traced engine run.
 type ObsResult struct {
-	Workload         string  `json:"workload"`
-	Engine           string  `json:"engine"`
+	Workload string `json:"workload"`
+	Engine   string `json:"engine"`
+	// Width is always 1 — the processor evaluates a batch in one
+	// sequential page loop — and keys the row against earlier baselines.
 	Width            int     `json:"width"`
 	Queries          int     `json:"queries"`
 	Seconds          float64 `json:"seconds"`
@@ -57,103 +60,112 @@ type ObsResult struct {
 type ObsProfile struct {
 	Workload string      `json:"workload"`
 	M        int         `json:"m"`
-	Widths   []int       `json:"widths"`
 	Results  []ObsResult `json:"results"`
 }
 
-// RunObs profiles one m-query batch of w's workload per engine and
-// pipeline width. Each width runs the batch twice on freshly reset
-// engines — once untraced (the reference), once with a tracer installed —
-// and reports the traced run's phase histograms plus the equivalence
-// verdict.
-func RunObs(w Workload, widths []int, m int) (*ObsProfile, error) {
+// RunObs profiles one m-query batch of w's workload per engine. Each
+// engine runs the batch twice on freshly reset engines — once untraced
+// (the reference), once with a tracer installed — and reports the traced
+// run's phase histograms plus the equivalence verdict.
+func RunObs(w Workload, m int) (*ObsProfile, error) {
 	queries, err := w.Queries(w.querySeed(), m)
 	if err != nil {
 		return nil, err
 	}
-	profile := &ObsProfile{Workload: w.Name, M: m, Widths: widths}
+	profile := &ObsProfile{Workload: w.Name, M: m}
 	for _, maker := range []EngineMaker{ScanMaker(w), XTreeMaker(w)} {
-		for _, width := range widths {
-			run := func(tr *obs.Tracer) ([]query.Answer, msq.Stats, float64, error) {
-				eng, err := maker.Make()
-				if err != nil {
-					return nil, msq.Stats{}, 0, err
-				}
-				proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Concurrency: width})
-				if err != nil {
-					return nil, msq.Stats{}, 0, err
-				}
-				if tr != nil {
-					proc = proc.WithTracer(tr)
-				}
-				start := time.Now()
-				lists, stats, err := proc.NewSession().MultiQueryAll(queries)
-				// The X-tree maker reuses one tree across runs; detach the
-				// tracer so the next (untraced) run stays hook-free.
-				eng.Pager().SetTracer(nil)
-				if err != nil {
-					return nil, msq.Stats{}, 0, err
-				}
-				var flat []query.Answer
-				for _, l := range lists {
-					flat = append(flat, l.Answers()...)
-				}
-				return flat, stats, time.Since(start).Seconds(), nil
-			}
-
-			refAnswers, refStats, _, err := run(nil)
+		run := func(tr *obs.Tracer) ([]query.Answer, msq.Stats, float64, error) {
+			eng, err := maker.Make()
 			if err != nil {
-				return nil, err
+				return nil, msq.Stats{}, 0, err
 			}
-			tr := obs.New(obs.Config{SlowQueryThreshold: -1})
-			answers, stats, elapsed, err := run(tr)
+			proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{})
 			if err != nil {
-				return nil, err
+				return nil, msq.Stats{}, 0, err
 			}
-
-			res := ObsResult{
-				Workload:         w.Name,
-				Engine:           maker.Name,
-				Width:            width,
-				Queries:          m,
-				Seconds:          elapsed,
-				PagesRead:        stats.PagesRead,
-				DistCalcs:        stats.DistCalcs,
-				Avoided:          stats.Avoided,
-				AvoidTries:       stats.AvoidTries,
-				PartialAbandoned: stats.PartialAbandoned,
-				Identical: sameFlatAnswers(refAnswers, answers) &&
-					stats.PagesRead == refStats.PagesRead &&
-					stats.DistCalcs == refStats.DistCalcs &&
-					stats.Avoided == refStats.Avoided &&
-					stats.AvoidTries == refStats.AvoidTries &&
-					stats.PartialAbandoned == refStats.PartialAbandoned,
+			if tr != nil {
+				proc = proc.WithTracer(tr)
 			}
-			for p := 0; p < obs.NumPhases; p++ {
-				snap := tr.Snapshot(obs.Phase(p))
-				if snap.Count == 0 {
-					continue
-				}
-				res.Phases = append(res.Phases, ObsPhase{
-					Phase:   obs.Phase(p).String(),
-					Count:   snap.Count,
-					TotalNs: snap.SumNs,
-					MeanNs:  float64(snap.Mean().Nanoseconds()),
-					P50Ns:   float64(snap.Quantile(0.5).Nanoseconds()),
-					P99Ns:   float64(snap.Quantile(0.99).Nanoseconds()),
-				})
+			start := time.Now()
+			lists, stats, err := proc.NewSession().MultiQueryAll(queries)
+			// The X-tree maker reuses one tree across runs; detach the
+			// tracer so the next (untraced) run stays hook-free.
+			eng.Pager().SetTracer(nil)
+			if err != nil {
+				return nil, msq.Stats{}, 0, err
 			}
-			profile.Results = append(profile.Results, res)
+			var flat []query.Answer
+			for _, l := range lists {
+				flat = append(flat, l.Answers()...)
+			}
+			return flat, stats, time.Since(start).Seconds(), nil
 		}
+
+		refAnswers, refStats, _, err := run(nil)
+		if err != nil {
+			return nil, err
+		}
+		tr := obs.New(obs.Config{SlowQueryThreshold: -1})
+		answers, stats, elapsed, err := run(tr)
+		if err != nil {
+			return nil, err
+		}
+
+		res := ObsResult{
+			Workload:         w.Name,
+			Engine:           maker.Name,
+			Width:            1,
+			Queries:          m,
+			Seconds:          elapsed,
+			PagesRead:        stats.PagesRead,
+			DistCalcs:        stats.DistCalcs,
+			Avoided:          stats.Avoided,
+			AvoidTries:       stats.AvoidTries,
+			PartialAbandoned: stats.PartialAbandoned,
+			Identical: sameFlatAnswers(refAnswers, answers) &&
+				stats.PagesRead == refStats.PagesRead &&
+				stats.DistCalcs == refStats.DistCalcs &&
+				stats.Avoided == refStats.Avoided &&
+				stats.AvoidTries == refStats.AvoidTries &&
+				stats.PartialAbandoned == refStats.PartialAbandoned,
+		}
+		for p := 0; p < obs.NumPhases; p++ {
+			snap := tr.Snapshot(obs.Phase(p))
+			if snap.Count == 0 {
+				continue
+			}
+			res.Phases = append(res.Phases, ObsPhase{
+				Phase:   obs.Phase(p).String(),
+				Count:   snap.Count,
+				TotalNs: snap.SumNs,
+				MeanNs:  float64(snap.Mean().Nanoseconds()),
+				P50Ns:   float64(snap.Quantile(0.5).Nanoseconds()),
+				P99Ns:   float64(snap.Quantile(0.99).Nanoseconds()),
+			})
+		}
+		profile.Results = append(profile.Results, res)
 	}
 	return profile, nil
 }
 
-// Figure renders the width-1 runs as per-phase time share, one series per
-// engine: where a sequential multi-query batch spends its wall clock.
+// sameFlatAnswers requires exact equality of two flattened answer lists.
+func sameFlatAnswers(a, b []query.Answer) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || a[i].Dist != b[i].Dist {
+			return false
+		}
+	}
+	return true
+}
+
+// Figure renders the runs as per-phase time share, one series per engine:
+// where a multi-query batch spends its wall clock.
 func (p *ObsProfile) Figure() *report.Figure {
 	fig := &report.Figure{
-		Title:  fmt.Sprintf("Phase time share at width 1 (%s database, m=%d)", p.Workload, p.M),
+		Title:  fmt.Sprintf("Phase time share (%s database, m=%d)", p.Workload, p.M),
 		XLabel: "phase index",
 		YLabel: "fraction of traced time",
 	}
@@ -162,9 +174,6 @@ func (p *ObsProfile) Figure() *report.Figure {
 		fig.XVals = append(fig.XVals, float64(i))
 	}
 	for _, r := range p.Results {
-		if r.Width != 1 {
-			continue
-		}
 		var total int64
 		byPhase := map[string]int64{}
 		for _, ph := range r.Phases {

@@ -5,42 +5,58 @@ import (
 	"encoding/json"
 	"testing"
 
+	"metricdb/internal/dataset"
+	"metricdb/internal/msq"
 	"metricdb/internal/obs"
+	"metricdb/internal/query"
 )
 
+// tinyWorkload keeps the experiment smoke tests in the milliseconds.
+func tinyWorkload(t *testing.T) Workload {
+	t.Helper()
+	items := dataset.Uniform(9, 500, 6)
+	w := Workload{Name: "tiny", Items: items, Dim: 6, K: 5}
+	w.Queries = func(seed int64, m int) ([]msq.Query, error) {
+		picks, err := dataset.SampleQueries(seed, items, m)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]msq.Query, len(picks))
+		for i, it := range picks {
+			out[i] = msq.Query{ID: uint64(it.ID), Vec: it.Vec, Type: query.NewKNN(5)}
+		}
+		return out, nil
+	}
+	return w
+}
+
 func TestRunObs(t *testing.T) {
-	widths := []int{1, 2}
-	profile, err := RunObs(tinyWorkload(t), widths, 8)
+	profile, err := RunObs(tinyWorkload(t), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * len(widths); len(profile.Results) != want { // scan + xtree
-		t.Fatalf("got %d results, want %d", len(profile.Results), want)
+	if len(profile.Results) != 2 { // scan + xtree
+		t.Fatalf("got %d results, want 2", len(profile.Results))
 	}
 	for _, r := range profile.Results {
 		if !r.Identical {
-			t.Errorf("%s width %d: traced run diverged from untraced reference", r.Engine, r.Width)
+			t.Errorf("%s: traced run diverged from untraced reference", r.Engine)
 		}
 		if r.DistCalcs == 0 || r.PagesRead == 0 {
-			t.Errorf("%s width %d: empty counters %+v", r.Engine, r.Width, r)
+			t.Errorf("%s: empty counters %+v", r.Engine, r)
 		}
 		phases := map[string]ObsPhase{}
 		for _, ph := range r.Phases {
 			phases[ph.Phase] = ph
 			if ph.Count <= 0 || ph.TotalNs < 0 {
-				t.Errorf("%s width %d: degenerate phase %+v", r.Engine, r.Width, ph)
+				t.Errorf("%s: degenerate phase %+v", r.Engine, ph)
 			}
 		}
 		for _, want := range []string{
 			obs.PhaseKernel.String(), obs.PhasePageWait.String(), obs.PhaseMatrix.String(),
 		} {
 			if _, ok := phases[want]; !ok {
-				t.Errorf("%s width %d: phase %q missing", r.Engine, r.Width, want)
-			}
-		}
-		if r.Width > 1 {
-			if _, ok := phases[obs.PhaseMerge.String()]; !ok {
-				t.Errorf("%s width %d: pipelined run has no merge phase", r.Engine, r.Width)
+				t.Errorf("%s: phase %q missing", r.Engine, want)
 			}
 		}
 	}

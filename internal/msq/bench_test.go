@@ -1,7 +1,6 @@
 package msq
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -18,9 +17,8 @@ import (
 // and reports the deterministic counters per batch next to the time
 // (dist_calcs/op, avoid_tries/op, avoided/op). Run with -benchmem:
 // allocations per op must stay flat in the page count, because the page
-// loop's scratch (the sweep's undecided lists, dists, qds) is pre-sized
-// once per pass and reused across pages — per-worker in the pipeline, a
-// single buffer in the sequential path.
+// loop's scratch (the sweep's undecided lists, qds, raises) is pre-sized
+// once per pass and reused across pages.
 //
 // The scan-m100 case is the knn-batch workload's shape at a fifth of its
 // size: a 20-d near-uniform scan with 32 KiB pages, m=100 k=10 queries
@@ -39,25 +37,20 @@ func BenchmarkMultiQueryAll(b *testing.B) {
 		queries[i] = Query{ID: uint64(i + 1), Vec: v, Type: query.NewKNN(8)}
 	}
 
-	for _, cfg := range []struct {
-		name  string
-		width int
-	}{{"seq", 1}, {"pipeline4", 4}} {
-		b.Run(fmt.Sprintf("scan/%s", cfg.name), func(b *testing.B) {
-			e, err := scan.New(items, 32, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchBatch(b, e, queries, cfg.width)
-		})
-		b.Run(fmt.Sprintf("xtree/%s", cfg.name), func(b *testing.B) {
-			tr, err := xtree.Bulk(items, dim, xtree.Config{LeafCapacity: 32, DirFanout: 8, BufferPages: 0})
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchBatch(b, tr, queries, cfg.width)
-		})
-	}
+	b.Run("scan/seq", func(b *testing.B) {
+		e, err := scan.New(items, 32, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchBatch(b, e, queries)
+	})
+	b.Run("xtree/seq", func(b *testing.B) {
+		tr, err := xtree.Bulk(items, dim, xtree.Config{LeafCapacity: 32, DirFanout: 8, BufferPages: 0})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchBatch(b, tr, queries)
+	})
 
 	b.Run("scan-m100/seq", func(b *testing.B) {
 		const dim, m = 20, 100
@@ -77,14 +70,14 @@ func BenchmarkMultiQueryAll(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchBatch(b, e, queries, 1)
+		benchBatch(b, e, queries)
 	})
 }
 
 // benchBatch runs the batch b.N times on one processor over eng and
 // reports the per-batch counters.
-func benchBatch(b *testing.B, eng engine.Engine, queries []Query, width int) {
-	proc, err := New(eng, vec.Euclidean{}, Options{Concurrency: width})
+func benchBatch(b *testing.B, eng engine.Engine, queries []Query) {
+	proc, err := New(eng, vec.Euclidean{}, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

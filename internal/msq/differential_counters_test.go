@@ -1,7 +1,6 @@
 package msq
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -22,7 +21,8 @@ import (
 // avoidances, abandonments and page visits — in total and per query, with
 // the same lemma attribution. The batch is 24 mixed k-NN / range /
 // bounded k-NN queries, run on scan, X-tree and pivot engines under each
-// avoidance mode at widths 1 and 2. The scan-lift engine packs 64 items
+// avoidance mode, by a lone session (w1) and by two sessions of one
+// processor at once (w2). The scan-lift engine packs 64 items
 // per page, so the k-NN pruning distances of the first pass start at +Inf
 // and turn finite mid-page, which exercises the Lemma-1 raise lift of the
 // live merge.
@@ -38,29 +38,17 @@ func TestDifferentialAvoidanceCounters(t *testing.T) {
 	// Recorded from the per-pair probe loop that preceded the column sweep.
 	want := map[string]pinned{
 		"scan-lift/both/w1":   {0x17bfe7a4777ea248, 0x982fe73285d32745, 5748, 46266, 11052, 639, 264, 5336, 5716},
-		"scan-lift/both/w2":   {0x17bfe7a4777ea248, 0x88b5d9fa3a06351a, 5964, 47622, 10836, 642, 264, 5282, 5554},
 		"scan-lift/lemma1/w1": {0x17bfe7a4777ea248, 0x81e73f430490e635, 8446, 68742, 8354, 2690, 264, 8354, 0},
-		"scan-lift/lemma1/w2": {0x17bfe7a4777ea248, 0xe7bcc16d75184b79, 8623, 69597, 8177, 2660, 264, 8177, 0},
 		"scan-lift/lemma2/w1": {0x17bfe7a4777ea248, 0xcd79cc22cd5eea7a, 9575, 71508, 7225, 3899, 264, 0, 7225},
-		"scan-lift/lemma2/w2": {0x17bfe7a4777ea248, 0xd12e6253b377fe2c, 9794, 72645, 7006, 3898, 264, 0, 7006},
 		"scan/both/w1":        {0x17bfe7a4777ea248, 0x156a07b10d3ba802, 5748, 46266, 11052, 640, 1056, 5336, 5716},
-		"scan/both/w2":        {0x17bfe7a4777ea248, 0x63435e8bb66eee73, 5790, 46553, 11010, 648, 1056, 5331, 5679},
 		"scan/lemma1/w1":      {0x17bfe7a4777ea248, 0x65a8e837b9cb0ad1, 8446, 68742, 8354, 2690, 1056, 8354, 0},
-		"scan/lemma1/w2":      {0x17bfe7a4777ea248, 0xb790b176e5fe9456, 8491, 68941, 8309, 2696, 1056, 8309, 0},
 		"scan/lemma2/w1":      {0x17bfe7a4777ea248, 0x22ffd8f19c97405d, 9575, 71508, 7225, 3900, 1056, 0, 7225},
-		"scan/lemma2/w2":      {0x17bfe7a4777ea248, 0xcbb03f18340a79be, 9624, 71746, 7176, 3913, 1056, 0, 7176},
 		"xtree/both/w1":       {0x17bfe7a4777ea248, 0x96c4781ac60c078, 3202, 8052, 1127, 464, 364, 456, 671},
-		"xtree/both/w2":       {0x17bfe7a4777ea248, 0x98b045aea0d617a2, 3214, 8088, 1115, 464, 364, 446, 669},
 		"xtree/lemma1/w1":     {0x17bfe7a4777ea248, 0x7b053aeddf3cf2d8, 3729, 10390, 600, 590, 364, 600, 0},
-		"xtree/lemma1/w2":     {0x17bfe7a4777ea248, 0x77770af4b387b06c, 3740, 10437, 589, 589, 364, 589, 0},
 		"xtree/lemma2/w1":     {0x17bfe7a4777ea248, 0xd139e28fb6baa232, 3618, 9299, 711, 641, 364, 0, 711},
-		"xtree/lemma2/w2":     {0x17bfe7a4777ea248, 0xf071323c8e3b49f1, 3620, 9307, 709, 638, 364, 0, 709},
 		"pivot/both/w1":       {0x17bfe7a4777ea248, 0x6d18cf667e978719, 5140, 30544, 6740, 584, 744, 3191, 3549},
-		"pivot/both/w2":       {0x17bfe7a4777ea248, 0x18e90d64d0a6f6b3, 5191, 30835, 6689, 601, 744, 3168, 3521},
 		"pivot/lemma1/w1":     {0x17bfe7a4777ea248, 0xaec0c97507e90ba8, 6833, 44404, 5047, 1567, 744, 5047, 0},
-		"pivot/lemma1/w2":     {0x17bfe7a4777ea248, 0x99a3b6dd92302866, 6877, 44601, 5003, 1594, 744, 5003, 0},
 		"pivot/lemma2/w1":     {0x17bfe7a4777ea248, 0x22b62b166d14049e, 7480, 45526, 4400, 2267, 744, 0, 4400},
-		"pivot/lemma2/w2":     {0x17bfe7a4777ea248, 0x82c952fb61ae3f11, 7525, 45774, 4355, 2295, 744, 0, 4355},
 	}
 
 	makers := []diffMaker{{"scan-lift", func(t *testing.T, items []store.Item, _ int, _ vec.Metric) engine.Engine {
@@ -79,46 +67,42 @@ func TestDifferentialAvoidanceCounters(t *testing.T) {
 	}
 	for _, mk := range makers {
 		for _, mode := range []AvoidanceMode{AvoidBoth, AvoidLemma1, AvoidLemma2} {
+			// Every session of a concurrent run must reproduce the lone
+			// session's pinned counters.
+			key := fmt.Sprintf("%s/%s/w1", mk.name, mode)
 			for _, width := range []int{1, 2} {
-				name := fmt.Sprintf("%s/%s/w%d", mk.name, mode, width)
-				t.Run(name, func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/w%d", mk.name, mode, width), func(t *testing.T) {
 					newProc := func() *Processor {
 						eng := mk.make(t, items, dim, vec.Euclidean{})
-						p, err := New(eng, vec.Euclidean{}, Options{Avoidance: mode, Concurrency: width})
+						p, err := New(eng, vec.Euclidean{}, Options{Avoidance: mode})
 						if err != nil {
 							t.Fatal(err)
 						}
 						return p
 					}
-					lists, stats, err := newProc().NewSession().MultiQueryAll(queries)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ex, err := newProc().ExplainContext(context.Background(), queries)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ex.Stats != stats {
-						t.Errorf("EXPLAIN stats %+v, plain run %+v", ex.Stats, stats)
+					run := runSessions(t, newProc(), width, queries)
+					ex := explainSessions(t, newProc(), width, queries)
+					if ex.stats != run.stats {
+						t.Errorf("EXPLAIN stats %+v, plain run %+v", ex.stats, run.stats)
 					}
 					got := pinned{
-						answers:   hashAnswers(lists),
-						profiles:  hashProfiles(ex.Queries),
-						calcs:     stats.DistCalcs,
-						tries:     stats.AvoidTries,
-						avoided:   stats.Avoided,
-						abandoned: stats.PartialAbandoned,
-						visits:    stats.PageVisits,
+						answers:   hashAnswers(run.answers),
+						profiles:  hashProfiles(ex.profiles),
+						calcs:     run.stats.DistCalcs,
+						tries:     run.stats.AvoidTries,
+						avoided:   run.stats.Avoided,
+						abandoned: run.stats.PartialAbandoned,
+						visits:    run.stats.PageVisits,
 					}
-					for _, p := range ex.Queries {
+					for _, p := range ex.profiles {
 						got.lem1 += p.Lemma1Avoided
 						got.lem2 += p.Lemma2Avoided
 					}
-					w, ok := want[name]
+					w, ok := want[key]
 					if !ok || got != w {
 						t.Errorf("counters differ from the pinned values\n got: %q: {%#x, %#x, %d, %d, %d, %d, %d, %d, %d},\nwant: %+v",
-							name, got.answers, got.profiles, got.calcs, got.tries, got.avoided, got.abandoned, got.visits, got.lem1, got.lem2, w)
-						for _, p := range ex.Queries {
+							key, got.answers, got.profiles, got.calcs, got.tries, got.avoided, got.abandoned, got.visits, got.lem1, got.lem2, w)
+						for _, p := range ex.profiles {
 							t.Logf("query %2d: probes %d lemma1 %d lemma2 %d calcs %d abandoned %d pages %d answers %d",
 								p.ID, p.AvoidTries, p.Lemma1Avoided, p.Lemma2Avoided, p.DistCalcs, p.Abandoned, p.PagesVisited, p.Answers)
 						}
@@ -156,15 +140,14 @@ func countersBatch(dim, m int) []Query {
 
 // hashAnswers digests every answer list exactly: lengths, IDs and the
 // distances' float bits.
-func hashAnswers(lists []*query.AnswerList) uint64 {
+func hashAnswers(lists [][]query.Answer) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(x uint64) {
 		binary.LittleEndian.PutUint64(buf[:], x)
 		h.Write(buf[:])
 	}
-	for _, l := range lists {
-		as := l.Answers()
+	for _, as := range lists {
 		put(uint64(len(as)))
 		for _, a := range as {
 			put(uint64(a.ID))

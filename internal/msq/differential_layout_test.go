@@ -1,13 +1,13 @@
 package msq
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"metricdb/internal/engine"
 	"metricdb/internal/pivot"
 	"metricdb/internal/pmtree"
-	"metricdb/internal/query"
 	"metricdb/internal/scan"
 	"metricdb/internal/store"
 	"metricdb/internal/vafile"
@@ -19,9 +19,8 @@ import (
 // layout: an engine whose pages carry float64 blocks — which select the
 // blocked row kernels — is bit-identical to the engine built without them
 // in answers AND in every statistic (I/O, buffer behaviour,
-// DistCalcs/Avoided/AvoidTries, PartialAbandoned) at every pipeline width.
-// The row kernels are required to reproduce the scalar kernels' decisions
-// exactly.
+// DistCalcs/Avoided/AvoidTries, PartialAbandoned). The row kernels are
+// required to reproduce the scalar kernels' decisions exactly.
 
 // layoutMakers mirrors diffMakers but materializes a float64 block on
 // every page at build time.
@@ -70,31 +69,9 @@ func layoutMakers() []diffMaker {
 	}
 }
 
-// runLayout evaluates the batch on a fresh engine built by mk.
-func runLayout(t *testing.T, mk diffMaker, m vec.Metric, mode AvoidanceMode, width int, items []store.Item, dim int, queries []Query) diffRun {
-	t.Helper()
-	eng := mk.make(t, items, dim, m)
-	proc, err := New(eng, m, Options{Avoidance: mode, Concurrency: width})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lists, stats, err := proc.NewSession().MultiQueryAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := diffRun{stats: stats, io: eng.Pager().Disk().Stats()}
-	for _, l := range lists {
-		r.answers = append(r.answers, append([]query.Answer(nil), l.Answers()...))
-	}
-	if buf := eng.Pager().Buffer(); buf != nil {
-		r.hits, r.misses, _ = buf.HitRate()
-	}
-	return r
-}
-
-// TestDifferentialLayoutSoA: for every engine × metric × avoidance mode ×
-// width, the SoA run must be indistinguishable from the AoS run — answers
-// and the full Stats record compare with ==.
+// TestDifferentialLayoutSoA: for every engine × metric × avoidance mode
+// and session count, the SoA run must be indistinguishable from the AoS
+// run — answers and the full Stats record compare with ==.
 func TestDifferentialLayoutSoA(t *testing.T) {
 	const dim = 4
 	items := testDB(41, 300, dim)
@@ -114,8 +91,8 @@ func TestDifferentialLayoutSoA(t *testing.T) {
 			for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {
 				for _, width := range []int{1, 2, 8} {
 					t.Run(fmt.Sprintf("%s/%s/%s/w%d", aosMakers[i].name, mt.name, mode, width), func(t *testing.T) {
-						aos := runLayout(t, aosMakers[i], mt.m, mode, width, items, dim, queries)
-						soa := runLayout(t, soaMakers[i], mt.m, mode, width, items, dim, queries)
+						aos := runDifferential(t, aosMakers[i], mt.m, mode, width, items, dim, queries)
+						soa := runDifferential(t, soaMakers[i], mt.m, mode, width, items, dim, queries)
 						if diag, ok := identicalAnswers(aos.answers, soa.answers); !ok {
 							t.Errorf("soa answers differ from aos: %s", diag)
 						}
@@ -136,10 +113,23 @@ func TestDifferentialLayoutSoA(t *testing.T) {
 	}
 }
 
+// explainSessions runs EXPLAIN over queries on width concurrent sessions
+// of proc (see onSessions).
+func explainSessions(t *testing.T, proc *Processor, width int, queries []Query) sessionResult {
+	t.Helper()
+	return onSessions(t, proc, width, func(s *Session) (sessionResult, error) {
+		ex, err := s.ExplainAllContext(context.Background(), queries)
+		if err != nil {
+			return sessionResult{}, err
+		}
+		return sessionResult{profiles: ex.Queries, stats: ex.Stats}, nil
+	})
+}
+
 // TestDifferentialLayoutSoAExplain pins EXPLAIN attribution on the row
 // path: EXPLAIN over an SoA run must report the same batch stats as the
 // unprofiled SoA run and the same per-query offered sets as an AoS
-// EXPLAIN.
+// EXPLAIN, for a lone session and for eight sessions profiling at once.
 func TestDifferentialLayoutSoAExplain(t *testing.T) {
 	const dim = 4
 	items := testDB(43, 300, dim)
@@ -150,35 +140,27 @@ func TestDifferentialLayoutSoAExplain(t *testing.T) {
 
 	for _, width := range []int{1, 8} {
 		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
-			plain := runLayout(t, soaMk, m, AvoidOff, width, items, dim, queries)
+			plain := runDifferential(t, soaMk, m, AvoidOff, width, items, dim, queries)
 
-			eng := soaMk.make(t, items, dim, m)
-			proc, err := New(eng, m, Options{Avoidance: AvoidOff, Concurrency: width})
+			proc, err := New(soaMk.make(t, items, dim, m), m, Options{Avoidance: AvoidOff})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex, err := proc.ExplainContext(t.Context(), queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ex.Stats != plain.stats {
-				t.Errorf("explain stats differ from plain soa run:\n  plain:   %+v\n  explain: %+v", plain.stats, ex.Stats)
+			ex := explainSessions(t, proc, width, queries)
+			if ex.stats != plain.stats {
+				t.Errorf("explain stats differ from plain soa run:\n  plain:   %+v\n  explain: %+v", plain.stats, ex.stats)
 			}
 
-			aosEng := aosMk.make(t, items, dim, m)
-			aosProc, err := New(aosEng, m, Options{Avoidance: AvoidOff, Concurrency: width})
+			aosProc, err := New(aosMk.make(t, items, dim, m), m, Options{Avoidance: AvoidOff})
 			if err != nil {
 				t.Fatal(err)
 			}
-			aosEx, err := aosProc.ExplainContext(t.Context(), queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for q := range ex.Queries {
-				if ex.Queries[q].Offered() != aosEx.Queries[q].Offered() ||
-					ex.Queries[q].DistCalcs != aosEx.Queries[q].DistCalcs ||
-					ex.Queries[q].PagesVisited != aosEx.Queries[q].PagesVisited {
-					t.Errorf("query %d profile differs:\n  aos: %+v\n  soa: %+v", q, aosEx.Queries[q], ex.Queries[q])
+			aosEx := explainSessions(t, aosProc, width, queries)
+			for q := range ex.profiles {
+				if ex.profiles[q].Offered() != aosEx.profiles[q].Offered() ||
+					ex.profiles[q].DistCalcs != aosEx.profiles[q].DistCalcs ||
+					ex.profiles[q].PagesVisited != aosEx.profiles[q].PagesVisited {
+					t.Errorf("query %d profile differs:\n  aos: %+v\n  soa: %+v", q, aosEx.profiles[q], ex.profiles[q])
 				}
 			}
 		})

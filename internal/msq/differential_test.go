@@ -3,6 +3,8 @@ package msq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"metricdb/internal/engine"
@@ -17,20 +19,17 @@ import (
 	"metricdb/internal/xtree"
 )
 
-// The differential harness proves the pipeline's determinism claim: for
-// every (engine × metric × avoidance mode) combination and a mixed k-NN /
-// range / bounded-k-NN batch, running at Concurrency 1, 2 and 8 must give
-//
-//   - byte-identical answers (exact float equality — the same distance
-//     calculations are performed in the same item order, so not even
-//     rounding may differ),
-//   - identical page-read counts, page visits, and the identical
-//     sequential/random split of the simulated disk, and
-//   - identical buffer hit/miss counts.
-//
-// DistCalcs/Avoided may differ between width 1 (live bounds) and widths
-// >= 2 (page-start snapshot bounds), but must be identical among all
-// widths >= 2 — and identical across every width when avoidance is off.
+// The differential harness runs one mixed k-NN / range / bounded-k-NN
+// batch over every engine × metric × avoidance mode and compares runs that
+// must not differ: indexed engines against the scan, traced against
+// untraced, SoA pages against AoS pages, file-backed against simulated
+// storage, incremental against one-shot evaluation. Answers compare with
+// exact float equality — not even rounding may differ. A cell name ends in
+// /wN, the number of sessions of one processor that run the batch at once
+// over the shared engine, pager and buffer: the parallelism a server gets
+// from its concurrent connections. Every session runs the processor's one
+// sequential page loop, so N sessions must each produce the answers and
+// costs of a lone session.
 
 // diffMaker builds a fresh engine over its own disk and buffer, so the
 // I/O counters of independent runs are comparable.
@@ -84,10 +83,10 @@ func diffMakers() []diffMaker {
 	}
 }
 
-// diffBatch builds a mixed workload. The first query is a range query so
-// that the suffix evaluation of MultiQueryAll exercises both prefetch
-// floors: the ε floor (range first) on the first pass and the zero floor
-// (k-NN first) on later passes.
+// diffBatch builds a mixed workload. The first query is a range query, so
+// the suffix evaluation of MultiQueryAll runs a first pass under a constant
+// ε pruning distance and later passes led by k-NN queries whose pruning
+// distances tighten as they go.
 func diffBatch(dim int, seed int64) []Query {
 	rng := rand.New(rand.NewSource(seed))
 	point := func() vec.Vector {
@@ -116,25 +115,123 @@ type diffRun struct {
 	misses  int64
 }
 
+// runDifferential builds a fresh engine and processor and runs queries on
+// width concurrent sessions of it (see onSessions).
 func runDifferential(t *testing.T, mk diffMaker, m vec.Metric, mode AvoidanceMode, width int, items []store.Item, dim int, queries []Query) diffRun {
 	t.Helper()
-	eng := mk.make(t, items, dim, m)
-	proc, err := New(eng, m, Options{Avoidance: mode, Concurrency: width})
+	proc, err := New(mk.make(t, items, dim, m), m, Options{Avoidance: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lists, stats, err := proc.NewSession().MultiQueryAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := diffRun{stats: stats, io: eng.Pager().Disk().Stats()}
-	for _, l := range lists {
-		r.answers = append(r.answers, append([]query.Answer(nil), l.Answers()...))
-	}
-	if buf := eng.Pager().Buffer(); buf != nil {
-		r.hits, r.misses, _ = buf.HitRate()
+	return runSessions(t, proc, width, queries)
+}
+
+// runSessions runs queries as one MultiQueryAll on each of width
+// concurrent sessions of proc. The disk and buffer counters are recorded at
+// width 1 only: concurrent sessions interleave their traffic on the shared
+// pager, so reads and hits depend on the schedule.
+func runSessions(t *testing.T, proc *Processor, width int, queries []Query) diffRun {
+	t.Helper()
+	res := onSessions(t, proc, width, func(s *Session) (sessionResult, error) {
+		lists, stats, err := s.MultiQueryAll(queries)
+		return sessionResult{answers: answersOf(lists), stats: stats}, err
+	})
+	r := diffRun{answers: res.answers, stats: res.stats}
+	if width == 1 {
+		pager := proc.Engine().Pager()
+		r.io = pager.Disk().Stats()
+		if buf := pager.Buffer(); buf != nil {
+			r.hits, r.misses, _ = buf.HitRate()
+		}
 	}
 	return r
+}
+
+// sessionResult is what one session's batch call produced.
+type sessionResult struct {
+	answers  [][]query.Answer
+	profiles []Profile // EXPLAIN calls only
+	stats    Stats
+}
+
+// onSessions runs call on width fresh sessions of proc at once. Every
+// session must produce the same answers, profiles and session-local
+// counters. The shared counters — DistCalcs, PartialAbandoned and
+// PivotDistCalcs, which every session charges to the processor's one
+// counting metric and engine — are measured over the whole run and must
+// split evenly over the sessions. The result is one session's, with the
+// shared counters set to that even share and PagesRead, which depends on
+// how the sessions interleave on the shared pager, left zero. At width 1
+// it is the lone call's result as returned.
+func onSessions(t *testing.T, proc *Processor, width int, call func(*Session) (sessionResult, error)) sessionResult {
+	t.Helper()
+	if width == 1 {
+		r, err := call(proc.NewSession())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	acct := proc.NewSession().beginAccounting()
+	results := make([]sessionResult, width)
+	errs := make([]error, width)
+	var wg sync.WaitGroup
+	for w := range width {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[w], errs[w] = call(proc.NewSession())
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d of %d: %v", w, width, err)
+		}
+	}
+	local := func(s Stats) Stats {
+		s.PagesRead, s.DistCalcs, s.PartialAbandoned, s.PivotDistCalcs = 0, 0, 0, 0
+		return s
+	}
+	r := results[0]
+	r.stats = local(r.stats)
+	for w, o := range results[1:] {
+		if diag, ok := identicalAnswers(r.answers, o.answers); !ok {
+			t.Errorf("session %d of %d: answers differ from session 0: %s", w+1, width, diag)
+		}
+		if !slices.Equal(r.profiles, o.profiles) {
+			t.Errorf("session %d of %d: profiles differ from session 0:\n  0: %+v\n  %d: %+v", w+1, width, r.profiles, w+1, o.profiles)
+		}
+		if got := local(o.stats); got != r.stats {
+			t.Errorf("session %d of %d: stats differ from session 0:\n  0: %+v\n  %d: %+v", w+1, width, r.stats, w+1, got)
+		}
+	}
+	var total Stats
+	acct.finish(&total)
+	for _, c := range []struct {
+		name  string
+		total int64
+		share *int64
+	}{
+		{"DistCalcs", total.DistCalcs - int64(width)*r.stats.MatrixDistCalcs, &r.stats.DistCalcs},
+		{"PartialAbandoned", total.PartialAbandoned, &r.stats.PartialAbandoned},
+		{"PivotDistCalcs", total.PivotDistCalcs, &r.stats.PivotDistCalcs},
+	} {
+		if c.total%int64(width) != 0 {
+			t.Errorf("%s total %d does not split evenly over %d sessions", c.name, c.total, width)
+		}
+		*c.share = c.total / int64(width)
+	}
+	return r
+}
+
+// answersOf copies each answer list's current answers.
+func answersOf(lists []*query.AnswerList) [][]query.Answer {
+	out := make([][]query.Answer, len(lists))
+	for i, l := range lists {
+		out[i] = append([]query.Answer(nil), l.Answers()...)
+	}
+	return out
 }
 
 // identicalAnswers requires exact equality — no tolerance.
@@ -156,85 +253,12 @@ func identicalAnswers(a, b [][]query.Answer) (string, bool) {
 	return "", true
 }
 
-func TestDifferentialPipeline(t *testing.T) {
-	const dim = 4
-	items := testDB(11, 300, dim)
-	queries := diffBatch(dim, 12)
-	metrics := []struct {
-		name string
-		m    vec.Metric
-	}{
-		{"euclidean", vec.Euclidean{}},
-		{"manhattan", vec.Manhattan{}},
-	}
-	modes := []AvoidanceMode{AvoidBoth, AvoidOff, AvoidLemma1, AvoidLemma2}
-
-	for _, mk := range diffMakers() {
-		for _, mt := range metrics {
-			for _, mode := range modes {
-				t.Run(fmt.Sprintf("%s/%s/%s", mk.name, mt.name, mode), func(t *testing.T) {
-					seq := runDifferential(t, mk, mt.m, mode, 1, items, dim, queries)
-					var wide []diffRun
-					for _, width := range []int{2, 8} {
-						r := runDifferential(t, mk, mt.m, mode, width, items, dim, queries)
-						wide = append(wide, r)
-						if diag, ok := identicalAnswers(seq.answers, r.answers); !ok {
-							t.Errorf("width %d: answers differ from sequential: %s", width, diag)
-						}
-						if r.stats.PagesRead != seq.stats.PagesRead {
-							t.Errorf("width %d: PagesRead = %d, sequential %d", width, r.stats.PagesRead, seq.stats.PagesRead)
-						}
-						if r.stats.PageVisits != seq.stats.PageVisits {
-							t.Errorf("width %d: PageVisits = %d, sequential %d", width, r.stats.PageVisits, seq.stats.PageVisits)
-						}
-						if r.io != seq.io {
-							t.Errorf("width %d: disk stats %+v, sequential %+v", width, r.io, seq.io)
-						}
-						if r.hits != seq.hits || r.misses != seq.misses {
-							t.Errorf("width %d: buffer hits/misses %d/%d, sequential %d/%d",
-								width, r.hits, r.misses, seq.hits, seq.misses)
-						}
-						if r.stats.MatrixDistCalcs != seq.stats.MatrixDistCalcs {
-							t.Errorf("width %d: MatrixDistCalcs = %d, sequential %d",
-								width, r.stats.MatrixDistCalcs, seq.stats.MatrixDistCalcs)
-						}
-						if mode == AvoidOff {
-							if r.stats.DistCalcs != seq.stats.DistCalcs {
-								t.Errorf("width %d: AvoidOff DistCalcs = %d, sequential %d",
-									width, r.stats.DistCalcs, seq.stats.DistCalcs)
-							}
-							if r.stats.Avoided != 0 || r.stats.AvoidTries != 0 {
-								t.Errorf("width %d: AvoidOff counted avoidance: %+v", width, r.stats)
-							}
-						}
-						// Avoidance with snapshot bounds never computes
-						// more than no avoidance, and computed + avoided
-						// partitions the same offered set.
-						if r.stats.DistCalcs > seq.stats.DistCalcs+seq.stats.Avoided {
-							t.Errorf("width %d: DistCalcs %d exceeds offered set %d",
-								width, r.stats.DistCalcs, seq.stats.DistCalcs+seq.stats.Avoided)
-						}
-						if r.stats.DistCalcs+r.stats.Avoided != seq.stats.DistCalcs+seq.stats.Avoided {
-							t.Errorf("width %d: DistCalcs+Avoided = %d, sequential %d",
-								width, r.stats.DistCalcs+r.stats.Avoided, seq.stats.DistCalcs+seq.stats.Avoided)
-						}
-					}
-					// Widths >= 2 share the snapshot-bound evaluation and
-					// must agree on every statistic, not just answers.
-					if wide[0].stats != wide[1].stats {
-						t.Errorf("width 2 and 8 stats differ:\n  2: %+v\n  8: %+v", wide[0].stats, wide[1].stats)
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestDifferentialEnginesMatchScan pins answer identity across physical
-// organizations: every indexed engine, under every metric, avoidance mode
-// and pipeline width, must return the exact answers of the sequential scan
-// — same IDs, bit-identical distances. Pruning may only skip work, never
-// change results.
+// organizations: every indexed engine, under every metric and avoidance
+// mode, must return the exact answers of the scan — same IDs,
+// bit-identical distances. Pruning may only skip work, never change
+// results. Sessions running at once must each also cost what a lone
+// session costs.
 func TestDifferentialEnginesMatchScan(t *testing.T) {
 	const dim = 4
 	items := testDB(91, 300, dim)
@@ -250,13 +274,21 @@ func TestDifferentialEnginesMatchScan(t *testing.T) {
 
 	for _, mt := range metrics {
 		for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {
+			ref := runDifferential(t, makers[0], mt.m, mode, 1, items, dim, queries)
 			for _, width := range []int{1, 2, 8} {
-				ref := runDifferential(t, makers[0], mt.m, mode, width, items, dim, queries)
 				for _, mk := range makers[1:] {
 					t.Run(fmt.Sprintf("%s/%s/%s/w%d", mk.name, mt.name, mode, width), func(t *testing.T) {
 						got := runDifferential(t, mk, mt.m, mode, width, items, dim, queries)
 						if diag, ok := identicalAnswers(ref.answers, got.answers); !ok {
 							t.Errorf("answers differ from scan: %s", diag)
+						}
+						if width == 1 {
+							return
+						}
+						lone := runDifferential(t, mk, mt.m, mode, 1, items, dim, queries)
+						lone.stats.PagesRead = 0
+						if got.stats != lone.stats {
+							t.Errorf("per-session stats differ from a lone session:\n  lone: %+v\n  w%d:   %+v", lone.stats, width, got.stats)
 						}
 					})
 				}
@@ -265,96 +297,75 @@ func TestDifferentialEnginesMatchScan(t *testing.T) {
 	}
 }
 
-func TestConcurrencyKnob(t *testing.T) {
-	items := testDB(1, 64, 3)
-	eng := scanEngine(t, items)
-	if _, err := New(eng, vec.Euclidean{}, Options{Concurrency: -1}); err == nil {
-		t.Error("negative concurrency accepted")
-	}
-	proc, err := New(eng, vec.Euclidean{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := proc.Concurrency(); got != 1 {
-		t.Errorf("zero-value Concurrency() = %d, want 1", got)
-	}
-	wide := proc.WithConcurrency(8)
-	if got := wide.Concurrency(); got != 8 {
-		t.Errorf("WithConcurrency(8).Concurrency() = %d", got)
-	}
-	if wide.Engine() != proc.Engine() || wide.Metric() != proc.Metric() {
-		t.Error("WithConcurrency did not share the engine and counting metric")
-	}
-	if proc.Concurrency() != 1 {
-		t.Error("WithConcurrency mutated the original processor")
-	}
-	if got := proc.WithConcurrency(-3).Concurrency(); got != 1 {
-		t.Errorf("WithConcurrency(-3).Concurrency() = %d, want 1", got)
-	}
-}
-
-// TestDifferentialIncremental checks the incremental entry point: two
-// MultiQuery calls sharing a session (the second reuses buffered partial
-// answers of the first) must behave identically at every width.
+// TestDifferentialIncremental checks the incremental entry point: a
+// MultiQuery call that completes queries[0] and buffers partial answers,
+// followed by a MultiQueryAll over the rotated batch that resumes from
+// those buffers, must end with exactly the answers of a one-shot
+// MultiQueryAll on a fresh session — and neither session may examine a
+// page twice for the same query.
 func TestDifferentialIncremental(t *testing.T) {
 	const dim = 4
 	items := testDB(21, 300, dim)
 	queries := diffBatch(dim, 22)
 	m := vec.Euclidean{}
+	rotated := append(append([]Query(nil), queries[1:]...), queries[0])
 
 	for _, mk := range diffMakers() {
 		t.Run(mk.name, func(t *testing.T) {
-			run := func(width int) diffRun {
-				eng := mk.make(t, items, dim, m)
-				proc, err := New(eng, m, Options{Concurrency: width})
+			newSession := func() *Session {
+				proc, err := New(mk.make(t, items, dim, m), m, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := proc.NewSession()
-				var total Stats
-				// First call completes queries[0] and buffers partials.
-				if _, st, err := s.MultiQuery(queries); err != nil {
-					t.Fatal(err)
-				} else {
-					total = total.Add(st)
-				}
-				// Second call rotates the batch so query 1 completes next,
-				// restoring the buffered state from the first call.
-				rotated := append(append([]Query(nil), queries[1:]...), queries[0])
-				lists, st, err := s.MultiQuery(rotated)
-				if err != nil {
-					t.Fatal(err)
-				}
-				total = total.Add(st)
-				r := diffRun{stats: total, io: eng.Pager().Disk().Stats()}
-				for _, l := range lists {
-					r.answers = append(r.answers, append([]query.Answer(nil), l.Answers()...))
-				}
-				return r
+				return proc.NewSession()
 			}
-			seq := run(1)
-			for _, width := range []int{2, 8} {
-				r := run(width)
-				if diag, ok := identicalAnswers(seq.answers, r.answers); !ok {
-					t.Errorf("width %d: answers differ: %s", width, diag)
-				}
-				if r.io != seq.io {
-					t.Errorf("width %d: disk stats %+v, sequential %+v", width, r.io, seq.io)
-				}
-				if r.stats.PagesRead != seq.stats.PagesRead || r.stats.PageVisits != seq.stats.PageVisits {
-					t.Errorf("width %d: pages read/visited %d/%d, sequential %d/%d",
-						width, r.stats.PagesRead, r.stats.PageVisits, seq.stats.PagesRead, seq.stats.PageVisits)
-				}
+
+			inc := newSession()
+			_, first, err := inc.MultiQuery(queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			incLists, rest, err := inc.MultiQueryAll(rotated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visitedOnce(t, "incremental", inc, first.PageVisits+rest.PageVisits)
+
+			one := newSession()
+			oneLists, oneStats, err := one.MultiQueryAll(rotated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visitedOnce(t, "one-shot", one, oneStats.PageVisits)
+
+			if diag, ok := identicalAnswers(answersOf(oneLists), answersOf(incLists)); !ok {
+				t.Errorf("incremental answers differ from one-shot: %s", diag)
 			}
 		})
+	}
+}
+
+// visitedOnce checks that a session examined no page twice for one query:
+// every page visit marks the page processed for that query, so the
+// visits counted over the session's calls must equal the processed sets'
+// total size.
+func visitedOnce(t *testing.T, label string, s *Session, visits int64) {
+	t.Helper()
+	var processed int64
+	for _, st := range s.states {
+		processed += int64(len(st.processed))
+	}
+	if visits != processed {
+		t.Errorf("%s: %d page visits, %d distinct (page, query) pairs", label, visits, processed)
 	}
 }
 
 // TestDifferentialTraced pins the tracing contract: installing a tracer
 // must not perturb anything observable — answers, every Stats counter,
 // disk I/O and buffer hit/miss counts stay bit-identical to the untraced
-// run at every pipeline width. Traced and untraced runs share one page
-// evaluator; this test keeps the tracer's page-grain timing observational.
+// run, for a lone session and for sessions sharing the traced processor.
+// Traced and untraced runs share one page evaluator; this test keeps the
+// tracer's page-grain timing observational.
 func TestDifferentialTraced(t *testing.T) {
 	const dim = 4
 	items := testDB(31, 300, dim)
@@ -367,22 +378,12 @@ func TestDifferentialTraced(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/w%d", mk.name, mode, width), func(t *testing.T) {
 					bare := runDifferential(t, mk, m, mode, width, items, dim, queries)
 
-					eng := mk.make(t, items, dim, m)
-					proc, err := New(eng, m, Options{Avoidance: mode, Concurrency: width})
+					proc, err := New(mk.make(t, items, dim, m), m, Options{Avoidance: mode})
 					if err != nil {
 						t.Fatal(err)
 					}
 					tr := obs.New(obs.Config{SlowQueryThreshold: -1})
-					proc = proc.WithTracer(tr)
-					lists, stats, err := proc.NewSession().MultiQueryAll(queries)
-					if err != nil {
-						t.Fatal(err)
-					}
-					traced := diffRun{stats: stats, io: eng.Pager().Disk().Stats()}
-					for _, l := range lists {
-						traced.answers = append(traced.answers, append([]query.Answer(nil), l.Answers()...))
-					}
-					traced.hits, traced.misses, _ = eng.Pager().Buffer().HitRate()
+					traced := runSessions(t, proc.WithTracer(tr), width, queries)
 
 					if diag, ok := identicalAnswers(bare.answers, traced.answers); !ok {
 						t.Errorf("traced answers differ from untraced: %s", diag)
@@ -398,18 +399,15 @@ func TestDifferentialTraced(t *testing.T) {
 							traced.hits, traced.misses, bare.hits, bare.misses)
 					}
 
-					// The tracer must actually have seen the run.
-					if tr.Queries() == 0 {
-						t.Error("tracer recorded no query calls")
+					// The tracer must actually have seen every session.
+					if got := tr.Queries(); got < int64(width) {
+						t.Errorf("tracer recorded %d query calls, want at least %d", got, width)
 					}
 					if tr.Snapshot(obs.PhaseKernel).Count == 0 {
 						t.Error("tracer recorded no kernel spans")
 					}
 					if tr.Snapshot(obs.PhasePageWait).Count == 0 {
 						t.Error("tracer recorded no page_wait spans")
-					}
-					if width > 1 && tr.Snapshot(obs.PhaseMerge).Count == 0 {
-						t.Error("pipelined run recorded no merge spans")
 					}
 				})
 			}

@@ -2,7 +2,6 @@ package msq
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"metricdb/internal/engine"
@@ -19,17 +18,9 @@ import (
 // which adds per-pair attribution only through its nil-able explain state
 // and makes byte-for-byte the same avoidance, abandonment and Consider
 // decisions, so answers and the batch counters are identical with and
-// without profiling. Phase wall time is taken per page (pipeline: per
-// chunk), never per pair.
-//
-// Width stability: page visits, answers, and the per-query offered set
-// (DistCalcs + Lemma1Avoided + Lemma2Avoided) are pure functions of the
-// page-barrier state and therefore identical at every pipeline width. The
-// split of the offered set into calculated/avoided/abandoned is identical
-// across all widths >= 2 (snapshot-pure decisions, per-item sweeps that no
-// chunk boundary splits) but may shift slightly against width 1, which
-// tightens pruning bounds item by item (see pipeline.go). Wall-time fields
-// are timing, not counters, and are never expected to be stable.
+// without profiling. Phase wall time is taken per page, never per pair.
+// Wall-time fields are timing, not counters, and are never expected to be
+// stable.
 
 // Profile is the EXPLAIN record of one query position in a batch.
 type Profile struct {
@@ -38,7 +29,7 @@ type Profile struct {
 	// Kind is the query type ("range" or "knn").
 	Kind string `json:"kind"`
 	// PagesVisited counts the data pages examined for this query: pages
-	// where the query was active at the page barrier, plus its seed page.
+	// where the query was active when the page started, plus its seed page.
 	PagesVisited int64 `json:"pages_visited"`
 	// DistCalcs counts the object distance evaluations charged to this
 	// query (full or early-abandoned; the matrix overhead is batch-level).
@@ -58,8 +49,7 @@ type Profile struct {
 }
 
 // Offered returns the query's offered set: every (item, query) pair the
-// page loop considered, whether calculated or avoided. It is identical at
-// every pipeline width.
+// page loop considered, whether calculated or avoided.
 func (p Profile) Offered() int64 {
 	return p.DistCalcs + p.Lemma1Avoided + p.Lemma2Avoided
 }
@@ -73,8 +63,6 @@ type Explain struct {
 	// approximation bits, directory fanout) for engines that implement
 	// engine.Described; the zero value means the engine describes nothing.
 	EngineConfig engine.Config `json:"engine_config,omitzero"`
-	// Width is the pipeline width the batch ran at.
-	Width int `json:"width"`
 	// Avoidance is the triangle-inequality mode ("both", "off", ...).
 	Avoidance string `json:"avoidance"`
 	// Queries holds one profile per query position, batch order.
@@ -90,11 +78,9 @@ type Explain struct {
 	BufferEvictions int64   `json:"buffer_evictions"`
 	BufferHitRatio  float64 `json:"buffer_hit_ratio"`
 	// PhaseNs is the call's wall time per phase (plan, matrix, page_wait,
-	// kernel, merge), in nanoseconds. kernel times whole pages (pipeline:
-	// whole chunks), so it includes the Lemma 1/2 avoidance checks and
-	// the sequential path's inline merge. Phases the call never entered
-	// are absent. Concurrent phases sum across workers, so the values can
-	// exceed WallNs at widths >= 2.
+	// kernel), in nanoseconds. kernel times whole pages, so it includes the
+	// Lemma 1/2 avoidance checks and the answer-list merge. Phases the call
+	// never entered are absent.
 	PhaseNs map[string]int64 `json:"phase_ns"`
 	// WallNs is the call's total wall time.
 	WallNs int64 `json:"wall_ns"`
@@ -123,17 +109,11 @@ type PredictedCost struct {
 	TotalNs        int64  `json:"total_ns"`
 }
 
-// explainCounters is the mutable accumulator behind one Profile. The
-// pipeline's workers update it concurrently, so the fields are atomic; the
-// sequential path pays two uncontended atomic adds per pair, acceptable on
-// a diagnostic path.
+// explainCounters is the mutable accumulator behind one Profile. Only the
+// goroutine holding the session's mutex touches it, so the fields are
+// plain integers.
 type explainCounters struct {
-	pagesVisited atomic.Int64
-	distCalcs    atomic.Int64
-	abandoned    atomic.Int64
-	lemma1       atomic.Int64
-	lemma2       atomic.Int64
-	tries        atomic.Int64
+	pagesVisited, distCalcs, abandoned, lemma1, lemma2, tries int64
 }
 
 // explainState is attached to a Session for the duration of one
@@ -141,7 +121,7 @@ type explainCounters struct {
 // decisions to it when present. prof is indexed by global batch position.
 type explainState struct {
 	prof    []explainCounters
-	phaseNs [obs.NumPhases]atomic.Int64
+	phaseNs [obs.NumPhases]int64
 }
 
 func newExplainState(m int) *explainState {
@@ -149,33 +129,30 @@ func newExplainState(m int) *explainState {
 }
 
 // observe accumulates phase wall time (the explain counterpart of
-// Tracer.Observe; safe from concurrent workers).
+// Tracer.Observe).
 func (ex *explainState) observe(p obs.Phase, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	ex.phaseNs[p].Add(int64(d))
+	ex.phaseNs[p] += max(int64(d), 0)
 }
 
 // attributeProbe charges one avoidance decision's probes and, when it
 // avoided the pair, the lemma that fired.
 func (c *explainCounters) attributeProbe(avoided, byLemma1 bool, tries int64) {
-	c.tries.Add(tries)
+	c.tries += tries
 	switch {
 	case !avoided:
 	case byLemma1:
-		c.lemma1.Add(1)
+		c.lemma1++
 	default:
-		c.lemma2.Add(1)
+		c.lemma2++
 	}
 }
 
 // attributeCalc charges one distance calculation and, when the bounded
 // kernel cut it short, its abandonment.
 func (c *explainCounters) attributeCalc(within bool) {
-	c.distCalcs.Add(1)
+	c.distCalcs++
 	if !within {
-		c.abandoned.Add(1)
+		c.abandoned++
 	}
 }
 
@@ -207,7 +184,6 @@ func (s *Session) ExplainAllContext(ctx context.Context, queries []Query) (*Expl
 
 	out := &Explain{
 		Engine: s.proc.eng.Name(),
-		Width:  s.proc.Concurrency(),
 		EngineConfig: func() engine.Config {
 			if d, ok := s.proc.eng.(engine.Described); ok {
 				return d.Describe()
@@ -230,7 +206,7 @@ func (s *Session) ExplainAllContext(ctx context.Context, queries []Query) (*Expl
 		}
 	}
 	for p := 0; p < obs.NumPhases; p++ {
-		if ns := ex.phaseNs[p].Load(); ns > 0 {
+		if ns := ex.phaseNs[p]; ns > 0 {
 			out.PhaseNs[obs.Phase(p).String()] = ns
 		}
 	}
@@ -239,12 +215,12 @@ func (s *Session) ExplainAllContext(ctx context.Context, queries []Query) (*Expl
 		out.Queries[i] = Profile{
 			ID:            queries[i].ID,
 			Kind:          queries[i].Type.Kind.String(),
-			PagesVisited:  c.pagesVisited.Load(),
-			DistCalcs:     c.distCalcs.Load(),
-			Abandoned:     c.abandoned.Load(),
-			Lemma1Avoided: c.lemma1.Load(),
-			Lemma2Avoided: c.lemma2.Load(),
-			AvoidTries:    c.tries.Load(),
+			PagesVisited:  c.pagesVisited,
+			DistCalcs:     c.distCalcs,
+			Abandoned:     c.abandoned,
+			Lemma1Avoided: c.lemma1,
+			Lemma2Avoided: c.lemma2,
+			AvoidTries:    c.tries,
 			Answers:       results[i].Len(),
 		}
 	}

@@ -48,8 +48,8 @@ func TestExplainStrictlyObservational(t *testing.T) {
 	if ex.Stats != stats {
 		t.Errorf("profiled stats = %+v, plain = %+v", ex.Stats, stats)
 	}
-	if ex.Engine != "scan" || ex.Width != 1 || ex.Avoidance != "both" {
-		t.Errorf("batch header = %s/%d/%s", ex.Engine, ex.Width, ex.Avoidance)
+	if ex.Engine != "scan" || ex.Avoidance != "both" {
+		t.Errorf("batch header = %s/%s", ex.Engine, ex.Avoidance)
 	}
 	if len(ex.Queries) != len(qs) {
 		t.Fatalf("%d profiles for %d queries", len(ex.Queries), len(qs))
@@ -82,50 +82,6 @@ func TestExplainStrictlyObservational(t *testing.T) {
 	}
 	if abandoned != stats.PartialAbandoned {
 		t.Errorf("profile abandonments sum to %d, batch counted %d", abandoned, stats.PartialAbandoned)
-	}
-}
-
-// TestExplainWidthStability: pages visited, the offered set and answer
-// counts are width-invariant; the full profile is identical across all
-// pipeline widths >= 2 (see the stability contract in explain.go).
-func TestExplainWidthStability(t *testing.T) {
-	items := testDB(11, 500, 3)
-	qs := explainBatch(items)
-
-	profiles := map[int][]Profile{}
-	for _, width := range []int{1, 2, 8} {
-		p, err := New(scanEngine(t, items), vec.Euclidean{}, Options{Concurrency: width})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, err := p.ExplainContext(context.Background(), qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		profiles[width] = ex.Queries
-	}
-	base := profiles[1]
-	for _, width := range []int{2, 8} {
-		for i, p := range profiles[width] {
-			if p.PagesVisited != base[i].PagesVisited {
-				t.Errorf("width %d query %d: pages visited %d, width 1 saw %d",
-					width, p.ID, p.PagesVisited, base[i].PagesVisited)
-			}
-			if p.Offered() != base[i].Offered() {
-				t.Errorf("width %d query %d: offered %d, width 1 offered %d",
-					width, p.ID, p.Offered(), base[i].Offered())
-			}
-			if p.Answers != base[i].Answers {
-				t.Errorf("width %d query %d: %d answers, width 1 found %d",
-					width, p.ID, p.Answers, base[i].Answers)
-			}
-		}
-	}
-	for i := range profiles[2] {
-		if profiles[2][i] != profiles[8][i] {
-			t.Errorf("query %d profile differs between widths 2 and 8:\n  %+v\n  %+v",
-				profiles[2][i].ID, profiles[2][i], profiles[8][i])
-		}
 	}
 }
 

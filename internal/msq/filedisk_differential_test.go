@@ -17,7 +17,7 @@ import (
 // This file extends the differential harness across the storage boundary:
 // the file-backed page store (store.FileDisk) must be observationally
 // indistinguishable from the simulated disk it replaces. For every
-// engine × metric × avoidance mode × pipeline width, a run whose pages
+// engine × metric × avoidance mode, a run whose pages
 // come from a persistent dataset directory must produce
 //
 //   - bit-identical answers (exact float equality),
@@ -129,20 +129,20 @@ func fileDiskMakers(mmap bool) []diffMaker {
 
 // requireSameRun asserts two differential runs are observationally
 // identical in every dimension the harness records.
-func requireSameRun(t *testing.T, label string, sim, file diffRun) {
+func requireSameRun(t *testing.T, sim, file diffRun) {
 	t.Helper()
 	if diag, ok := identicalAnswers(sim.answers, file.answers); !ok {
-		t.Errorf("%s: answers differ between disk backends: %s", label, diag)
+		t.Errorf("answers differ between disk backends: %s", diag)
 	}
 	if file.stats != sim.stats {
-		t.Errorf("%s: stats differ:\n  simulated: %+v\n  file:      %+v", label, sim.stats, file.stats)
+		t.Errorf("stats differ:\n  simulated: %+v\n  file:      %+v", sim.stats, file.stats)
 	}
 	if file.io != sim.io {
-		t.Errorf("%s: disk stats differ: simulated %+v, file %+v", label, sim.io, file.io)
+		t.Errorf("disk stats differ: simulated %+v, file %+v", sim.io, file.io)
 	}
 	if file.hits != sim.hits || file.misses != sim.misses {
-		t.Errorf("%s: buffer hits/misses %d/%d, simulated %d/%d",
-			label, file.hits, file.misses, sim.hits, sim.misses)
+		t.Errorf("buffer hits/misses %d/%d, simulated %d/%d",
+			file.hits, file.misses, sim.hits, sim.misses)
 	}
 }
 
@@ -165,11 +165,9 @@ func TestDifferentialFileDisk(t *testing.T) {
 		for _, mt := range metrics {
 			for _, mode := range modes {
 				t.Run(fmt.Sprintf("%s/%s/%s", sims[i].name, mt.name, mode), func(t *testing.T) {
-					for _, width := range []int{1, 2, 8} {
-						sim := runDifferential(t, sims[i], mt.m, mode, width, items, dim, queries)
-						file := runDifferential(t, files[i], mt.m, mode, width, items, dim, queries)
-						requireSameRun(t, fmt.Sprintf("width %d", width), sim, file)
-					}
+					sim := runDifferential(t, sims[i], mt.m, mode, 1, items, dim, queries)
+					file := runDifferential(t, files[i], mt.m, mode, 1, items, dim, queries)
+					requireSameRun(t, sim, file)
 				})
 			}
 		}
@@ -191,11 +189,9 @@ func TestDifferentialFileDiskMmap(t *testing.T) {
 	for i := range sims {
 		for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {
 			t.Run(fmt.Sprintf("%s/%s", sims[i].name, mode), func(t *testing.T) {
-				for _, width := range []int{1, 2, 8} {
-					sim := runDifferential(t, sims[i], m, mode, width, items, dim, queries)
-					file := runDifferential(t, files[i], m, mode, width, items, dim, queries)
-					requireSameRun(t, fmt.Sprintf("width %d", width), sim, file)
-				}
+				sim := runDifferential(t, sims[i], m, mode, 1, items, dim, queries)
+				file := runDifferential(t, files[i], m, mode, 1, items, dim, queries)
+				requireSameRun(t, sim, file)
 			})
 		}
 	}

@@ -15,7 +15,6 @@ import (
 // both the unavoided answers and an exhaustive brute-force evaluation),
 // and the computed and avoided calculations must exactly partition the
 // work the AvoidOff run performs: DistCalcs + Avoided == off.DistCalcs.
-// Both properties are checked sequentially and at pipeline width 4.
 
 // randomWorkload draws dataset dimensions and a mixed query batch from rng.
 func randomWorkload(rng *rand.Rand) (queries []Query, n, dim int) {
@@ -59,12 +58,12 @@ func TestLemmaSoundnessProperty(t *testing.T) {
 				answers [][]query.Answer
 				stats   Stats
 			}
-			run := func(mode AvoidanceMode, width int) outcome {
+			run := func(mode AvoidanceMode) outcome {
 				var eng = scanEngine(t, items)
 				if seed%2 == 1 {
 					eng = xtreeEngine(t, items, dim)
 				}
-				proc, err := New(eng, m, Options{Avoidance: mode, Concurrency: width})
+				proc, err := New(eng, m, Options{Avoidance: mode})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,29 +71,22 @@ func TestLemmaSoundnessProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var o outcome
-				o.stats = stats
-				for _, l := range lists {
-					o.answers = append(o.answers, append([]query.Answer(nil), l.Answers()...))
-				}
-				return o
+				return outcome{answers: answersOf(lists), stats: stats}
 			}
 
-			off := run(AvoidOff, 1)
-			for _, width := range []int{1, 4} {
-				for _, mode := range []AvoidanceMode{AvoidBoth, AvoidLemma1, AvoidLemma2} {
-					o := run(mode, width)
-					// Soundness: a wrongly avoided calculation would drop an
-					// in-range object from some answer list.
-					if diag, ok := identicalAnswers(off.answers, o.answers); !ok {
-						t.Fatalf("mode %v width %d: answers differ from AvoidOff: %s", mode, width, diag)
-					}
-					// Exactness of the accounting: every offered (item,
-					// query) pair is either computed or avoided.
-					if got := o.stats.DistCalcs + o.stats.Avoided; got != off.stats.DistCalcs {
-						t.Errorf("mode %v width %d: DistCalcs %d + Avoided %d = %d, want AvoidOff DistCalcs %d",
-							mode, width, o.stats.DistCalcs, o.stats.Avoided, got, off.stats.DistCalcs)
-					}
+			off := run(AvoidOff)
+			for _, mode := range []AvoidanceMode{AvoidBoth, AvoidLemma1, AvoidLemma2} {
+				o := run(mode)
+				// Soundness: a wrongly avoided calculation would drop an
+				// in-range object from some answer list.
+				if diag, ok := identicalAnswers(off.answers, o.answers); !ok {
+					t.Fatalf("mode %v: answers differ from AvoidOff: %s", mode, diag)
+				}
+				// Exactness of the accounting: every offered (item,
+				// query) pair is either computed or avoided.
+				if got := o.stats.DistCalcs + o.stats.Avoided; got != off.stats.DistCalcs {
+					t.Errorf("mode %v: DistCalcs %d + Avoided %d = %d, want AvoidOff DistCalcs %d",
+						mode, o.stats.DistCalcs, o.stats.Avoided, got, off.stats.DistCalcs)
 				}
 			}
 

@@ -26,12 +26,7 @@ type queryState struct {
 	// query-to-pivot distances here, so every later page probe (plans,
 	// relevance checks, bootstrap bounds) across every incremental call
 	// reuses them for free.
-	pq engine.PreparedQuery
-	// mu guards answers while the concurrent pipeline's sharded merge
-	// workers feed per-page results into the list (one shard — and hence
-	// one worker — per query, but the lock keeps the ownership explicit
-	// and race-detector-checkable). The sequential path never contends.
-	mu        sync.Mutex
+	pq        engine.PreparedQuery
 	processed map[store.PageID]struct{}
 	done      bool
 	// bound is an a-priori upper bound on the final query distance,
@@ -56,13 +51,15 @@ func (st *queryState) queryDist() float64 {
 // calls. A session is bound to one processor. It is safe for concurrent
 // use: calls are serialized by an internal mutex, because the paper's
 // incremental semantics (each call builds on the buffered answers of the
-// previous one) are inherently ordered. Parallelism happens *inside* a
-// call when the processor's Concurrency is above 1.
+// previous one) are inherently ordered. Parallelism comes from running
+// independent sessions concurrently over one processor: they share the
+// engine's pager, whose buffer and disk counters are safe for concurrent
+// readers.
 type Session struct {
 	proc *Processor
-	// mu serializes top-level calls on the session. The pipeline's worker
-	// goroutines never take it; they synchronize through per-query state
-	// locks and the page barrier (see pipeline.go).
+	// mu serializes top-level calls on the session; everything below it,
+	// the explain state included, is touched only by the goroutine
+	// holding it.
 	mu     sync.Mutex
 	states map[uint64]*queryState
 	// pairDist caches inter-query distances ("QObjDists") so that each
@@ -72,7 +69,7 @@ type Session struct {
 	pairDist map[pairKey]float64
 	// explain, when non-nil, collects per-query attribution and phase
 	// times for the duration of one ExplainAllContext call (set and
-	// cleared under mu; the pipeline's workers only read it).
+	// cleared under mu).
 	explain *explainState
 }
 
@@ -250,7 +247,7 @@ func identityPositions(n int) []int {
 func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]float64, pos []int, stats *Stats) error {
 	first := states[0]
 	// sc is the page pass scratch, pre-sized so no observation mode of the
-	// loop allocates in steady state; the pipeline adopts it as worker 0's.
+	// loop allocates in steady state.
 	sc := newPageScratch(len(states))
 
 	// Bootstrap: a k-NN query that has no answers yet cannot exclude any
@@ -274,14 +271,6 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 	planStart := s.clock()
 	plan := first.pq.Plan(first.queryDist())
 	s.observeSince(obs.PhasePlan, planStart)
-
-	if width := s.proc.Concurrency(); width > 1 {
-		if err := s.runPipeline(ctx, plan, states, matrix, pos, stats, width, sc); err != nil {
-			return err
-		}
-		first.done = true
-		return nil
-	}
 
 	// active caches, per page, which queries still need the page.
 	active := make([]*queryState, 0, len(states))
@@ -321,9 +310,6 @@ func markProcessed(pid store.PageID, active []*queryState) {
 // decideActive computes which queries still need the page: not finished, not
 // already processed for the page, and (for non-first queries) not excludable
 // by the engine's lower bound against the query's current pruning distance.
-// Both the sequential loop and the concurrent pipeline call it at the same
-// point — after all earlier pages are fully merged — so the decisions, and
-// hence page visits, are identical regardless of the pipeline width.
 func (s *Session) decideActive(pid store.PageID, states []*queryState, pos []int, active []*queryState, activePos []int) ([]*queryState, []int) {
 	active = active[:0]
 	activePos = activePos[:0]
@@ -460,7 +446,7 @@ func (s *Session) pairDistance(qi, qj Query, stats *Stats) float64 {
 // clock reads the time only when the call is observed — by a tracer or by
 // EXPLAIN — and returns the zero time otherwise, so an unobserved call pays
 // one branch per phase boundary and no clock reads. Phases are timed at
-// page (pipeline: chunk) grain; no clock is read per item or per pair.
+// page grain; no clock is read per item or per pair.
 func (s *Session) clock() time.Time {
 	if s.explain == nil && !s.proc.tracer.Enabled() {
 		return time.Time{}
@@ -492,10 +478,7 @@ func (s *Session) readPage(pid store.PageID) (*store.Page, error) {
 
 // pageScratch bundles one page pass's reusable buffers. Every field is
 // sized for the full batch and sliced down to the page's active set;
-// contents are clobbered on each page. The sequential loop owns one; the
-// pipeline keeps one per worker, and worker 0's also holds the page-level
-// inputs (qds, raise, qvecs) that the coordinator fills at the page
-// barrier and the workers only read. und and spare are the sweep's
+// contents are clobbered on each page. und and spare are the sweep's
 // double-buffered undecided lists (active indices).
 type pageScratch struct {
 	und   []int32
@@ -520,18 +503,17 @@ func newPageScratch(n int) *pageScratch {
 }
 
 // pagePass is one page's evaluation against its active set: the inputs
-// every item range of the page shares, fixed when the page starts.
+// gathered when the page starts.
 type pagePass struct {
 	page      *store.Page
 	active    []*queryState
 	activeIdx []int
 	// matrix is the query-distance matrix; nil turns avoidance off.
 	matrix [][]float64
-	// qds holds the active queries' pruning distances. With live merging
-	// they mirror the answer lists exactly: a pruning distance changes only
-	// when the query's own Consider accepts an item (st.bound is fixed
-	// during the page loop), and every accept refreshes the mirror. In the
-	// pipeline they are the page-barrier snapshot and stay fixed.
+	// qds holds the active queries' pruning distances. They mirror the
+	// answer lists exactly: a pruning distance changes only when the
+	// query's own Consider accepts an item (st.bound is fixed during the
+	// page loop), and every accept refreshes the mirror.
 	qds []float64
 	// raise caches the Lemma-1 horizon bound of abandonLimit per query.
 	raise []float64
@@ -543,8 +525,7 @@ type pagePass struct {
 }
 
 // newPass gathers a page pass's inputs from the active queries' current
-// state. The sequential loop calls it when the page starts; the pipeline
-// calls it at the page barrier, which makes every input a snapshot.
+// state when the page starts.
 func (s *Session) newPass(page *store.Page, active []*queryState, activeIdx []int, matrix [][]float64, sc *pageScratch) pagePass {
 	n := len(active)
 	pp := pagePass{page: page, active: active, activeIdx: activeIdx, matrix: matrix, qds: sc.qds[:n], ex: s.explain}
@@ -584,12 +565,12 @@ func rowPath(page *store.Page, avoiding bool, m int) bool {
 	return b != nil && !avoiding && b.N == len(page.Items) && m >= 4
 }
 
-// passCounts are the counter deltas of one evaluated item range.
+// passCounts are the counter deltas of one evaluated page.
 type passCounts struct {
 	calcs, abandoned, tries, avoided int64
 }
 
-// settle charges an evaluated range's counts to the counting metric and to
+// settle charges an evaluated page's counts to the counting metric and to
 // the call's Stats.
 func (s *Session) settle(c passCounts, stats *Stats) {
 	s.proc.metric.AddCalls(c.calcs, c.abandoned)
@@ -602,27 +583,27 @@ func (s *Session) visit(activeIdx []int, stats *Stats) {
 	stats.PageVisits += int64(len(activeIdx))
 	if ex := s.explain; ex != nil {
 		for _, p := range activeIdx {
-			ex.prof[p].pagesVisited.Add(1)
+			ex.prof[p].pagesVisited++
 		}
 	}
 }
 
-// processPage is the sequential page pass: the page's whole item range is
-// evaluated as one chunk with live merging, and timed as a whole into
-// PhaseKernel (avoidance, kernel and merge together).
+// processPage is one page pass: the page's items are evaluated with live
+// merging and timed as a whole into PhaseKernel (avoidance, kernel and
+// merge together).
 func (s *Session) processPage(page *store.Page, active []*queryState, activeIdx []int, matrix [][]float64, stats *Stats, sc *pageScratch) {
 	s.visit(activeIdx, stats)
 	pp := s.newPass(page, active, activeIdx, matrix, sc)
 	start := s.clock()
-	c := s.evalItems(&pp, 0, len(page.Items), nil, sc)
+	c := s.evalItems(&pp, sc)
 	s.observeSince(obs.PhaseKernel, start)
 	s.settle(c, stats)
 }
 
-// evalItems is the one page evaluator of Figure 4: it tests the items
-// [lo, hi) of the pass's page against every active query, using the
-// triangle inequality over already-computed distances to avoid
-// calculations where possible.
+// evalItems is the one page evaluator of Figure 4: it tests the items of
+// the pass's page against every active query, using the triangle
+// inequality over already-computed distances to avoid calculations where
+// possible.
 //
 // Avoidance runs as a column sweep per item. All active queries start
 // undecided, in active order. The first undecided query is computed, and
@@ -651,40 +632,26 @@ func (s *Session) processPage(page *store.Page, active []*queryState, activeIdx 
 // leaving DistCalcs and Avoided untouched relative to full-distance
 // evaluation. The partial result is swept like any other entry.
 //
-// Results go one of two ways. With a nil out the merge is live: each
-// within distance is offered to the answer list at once, the pruning
-// distance mirror is refreshed on accept, and the Lemma-1 raises are lifted
-// when a pruning distance turns finite (the sequential path). With a
-// non-nil out — the pipeline's dists matrix, nItems × nActive — the
-// distance of item it for active query a goes to out[it*nActive+a], or
-// skippedDist when it was not fully computed, and the limits stay the
-// page-barrier snapshot; the pipeline's sharded merge consumes out later.
+// The merge is live: each within distance is offered to the answer list at
+// once, the pruning distance mirror is refreshed on accept, and the Lemma-1
+// raises are lifted when a pruning distance turns finite.
 //
 // Distance calculations bypass the Counting wrapper: the loop calls the raw
-// kernel and returns its counts for one settle per range. Pages take the
+// kernel and returns its counts for one settle per page. Pages take the
 // blocked row path when rowPath holds, bit-identical to this path. EXPLAIN
 // attribution (pp.ex) is the only per-pair observation; no clock is read
 // here.
-func (s *Session) evalItems(pp *pagePass, lo, hi int, out []float64, sc *pageScratch) (c passCounts) {
+func (s *Session) evalItems(pp *pagePass, sc *pageScratch) (c passCounts) {
 	if pp.rows {
-		return s.evalRows(pp, lo, hi, out, sc)
+		return s.evalRows(pp, sc)
 	}
 	kernel := s.proc.metric.Kernel()
 	items, ex := pp.page.Items, pp.ex
 	active, activeIdx, matrix, qds, raise := pp.active, pp.activeIdx, pp.matrix, pp.qds, pp.raise
 	avoiding := matrix != nil
 	n := len(active)
-	var row []float64
-	for it := lo; it < hi; it++ {
+	for it := range items {
 		item := &items[it]
-		if out != nil {
-			// Every slot starts skipped; only within distances overwrite,
-			// which keeps the avoided and abandoned paths free of stores.
-			row = out[it*n : (it+1)*n]
-			for a := range row {
-				row[a] = skippedDist
-			}
-		}
 		und, spare := sc.und[:n], sc.spare[:n]
 		for a := range und {
 			und[a] = int32(a)
@@ -708,8 +675,6 @@ func (s *Session) evalItems(pp *pagePass, lo, hi int, out []float64, sc *pageScr
 			}
 			if !within {
 				c.abandoned++
-			} else if out != nil {
-				row[a] = d
 			} else if st.answers.Consider(item.ID, d) {
 				wasInf := math.IsInf(qd, 1)
 				qds[a] = st.queryDist()
@@ -797,16 +762,12 @@ func (s *Session) sweep(pp *pagePass, und, spare []int32, d float64, mrow []floa
 // — just loaded into cache — is reused m times and the kernel dispatch is
 // devirtualized once per page instead of once per pair. Only reached when
 // rowPath holds, under which the results are bit-identical to evalItems'
-// scalar path (see rowPath). The qds limits are live or snapshot exactly as in
-// evalItems.
-func (s *Session) evalRows(pp *pagePass, lo, hi int, out []float64, sc *pageScratch) (c passCounts) {
+// scalar path (see rowPath). The qds limits are live, as in evalItems.
+func (s *Session) evalRows(pp *pagePass, sc *pageScratch) (c passCounts) {
 	n := len(pp.active)
 	b, rows, qds := pp.page.Cols, s.proc.rows, pp.qds
 	dOut, wOut := sc.rowD[:n], sc.rowW[:n]
-	for it := lo; it < hi; it++ {
-		if out != nil {
-			dOut = out[it*n : (it+1)*n]
-		}
+	for it := range pp.page.Items {
 		ab := rows.RowWithin(pp.qvecs, b, it, qds, dOut, wOut)
 		c.calcs += int64(n)
 		c.abandoned += int64(ab)
@@ -814,14 +775,6 @@ func (s *Session) evalRows(pp *pagePass, lo, hi int, out []float64, sc *pageScra
 			for a, w := range wOut {
 				ex.prof[pp.activeIdx[a]].attributeCalc(w)
 			}
-		}
-		if out != nil {
-			for a, w := range wOut {
-				if !w {
-					dOut[a] = skippedDist
-				}
-			}
-			continue
 		}
 		if ab == n {
 			continue // no lane within: nothing to Consider

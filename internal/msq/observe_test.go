@@ -29,9 +29,9 @@ func (r *readCounter) ReadPage(pid store.PageID) (*store.Page, error) {
 // TestSeedPagesObserved: every page a multi-query call reads is observed,
 // the seed pages of new k-NN queries included. On an X-tree k-NN batch,
 // where seeding fires, the tracer's page_wait count must equal the
-// engine's ReadPage call count, and at width 1 — where each read page is
-// evaluated as one pass — so must the kernel count; EXPLAIN's page_wait
-// must be non-zero too.
+// engine's ReadPage call count, and — each read page being evaluated as
+// one pass — so must the kernel count; EXPLAIN's page_wait must be
+// non-zero too.
 func TestSeedPagesObserved(t *testing.T) {
 	const dim = 4
 	items := testDB(51, 600, dim)
@@ -39,30 +39,28 @@ func TestSeedPagesObserved(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		queries = append(queries, Query{ID: uint64(i), Vec: items[i*70].Vec, Type: query.NewKNN(5)})
 	}
-	for _, width := range []int{1, 2} {
-		eng := &readCounter{Engine: xtreeEngine(t, items, dim)}
-		proc, err := New(eng, vec.Euclidean{}, Options{Concurrency: width})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := obs.New(obs.Config{SlowQueryThreshold: -1})
-		ex, err := proc.WithTracer(tr).ExplainContext(context.Background(), queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reads := eng.reads.Load()
-		if reads == 0 {
-			t.Fatalf("width %d: the batch read no pages", width)
-		}
-		if waits := tr.Snapshot(obs.PhasePageWait).Count; waits != reads {
-			t.Errorf("width %d: tracer page_wait count %d, ReadPage calls %d", width, waits, reads)
-		}
-		if kernels := tr.Snapshot(obs.PhaseKernel).Count; width == 1 && kernels != reads {
-			t.Errorf("width 1: tracer kernel count %d, ReadPage calls %d", kernels, reads)
-		}
-		if ex.PhaseNs[obs.PhasePageWait.String()] <= 0 {
-			t.Errorf("width %d: EXPLAIN recorded no page_wait time: %v", width, ex.PhaseNs)
-		}
+	eng := &readCounter{Engine: xtreeEngine(t, items, dim)}
+	proc, err := New(eng, vec.Euclidean{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New(obs.Config{SlowQueryThreshold: -1})
+	ex, err := proc.WithTracer(tr).ExplainContext(context.Background(), queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := eng.reads.Load()
+	if reads == 0 {
+		t.Fatal("the batch read no pages")
+	}
+	if waits := tr.Snapshot(obs.PhasePageWait).Count; waits != reads {
+		t.Errorf("tracer page_wait count %d, ReadPage calls %d", waits, reads)
+	}
+	if kernels := tr.Snapshot(obs.PhaseKernel).Count; kernels != reads {
+		t.Errorf("tracer kernel count %d, ReadPage calls %d", kernels, reads)
+	}
+	if ex.PhaseNs[obs.PhasePageWait.String()] <= 0 {
+		t.Errorf("EXPLAIN recorded no page_wait time: %v", ex.PhaseNs)
 	}
 }
 

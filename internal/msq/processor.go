@@ -48,13 +48,6 @@ func (m AvoidanceMode) String() string {
 type Options struct {
 	// Avoidance selects the triangle-inequality mode (default AvoidBoth).
 	Avoidance AvoidanceMode
-	// Concurrency is the intra-server pipeline width: the number of worker
-	// goroutines that evaluate a data page's items against the active
-	// queries, plus a prefetcher that overlaps page I/O with evaluation.
-	// 0 and 1 select the sequential path (today's behavior). Any width
-	// produces bit-identical answers and an identical disk read sequence;
-	// see internal/msq/pipeline.go for the determinism argument.
-	Concurrency int
 }
 
 // Query is one element of a multiple similarity query: a caller-chosen
@@ -108,9 +101,6 @@ func New(eng engine.Engine, m vec.Metric, opts Options) (*Processor, error) {
 	if m == nil {
 		return nil, fmt.Errorf("msq: nil metric")
 	}
-	if opts.Concurrency < 0 {
-		return nil, fmt.Errorf("msq: concurrency must be >= 0, got %d", opts.Concurrency)
-	}
 	counting, ok := m.(*vec.Counting)
 	if !ok {
 		counting = vec.NewCounting(m)
@@ -126,27 +116,6 @@ func (p *Processor) Metric() *vec.Counting { return p.metric }
 
 // Options returns the processor options.
 func (p *Processor) Options() Options { return p.opts }
-
-// Concurrency returns the effective pipeline width (at least 1).
-func (p *Processor) Concurrency() int {
-	if p.opts.Concurrency > 1 {
-		return p.opts.Concurrency
-	}
-	return 1
-}
-
-// WithConcurrency returns a processor sharing this processor's engine and
-// counting metric but running its multi-query pipeline at the given width.
-// It lets a serving layer widen (or pin) the pipeline without rebuilding
-// the engine. Widths below 2 select the sequential path.
-func (p *Processor) WithConcurrency(n int) *Processor {
-	if n < 0 {
-		n = 0
-	}
-	opts := p.opts
-	opts.Concurrency = n
-	return &Processor{eng: p.eng, metric: p.metric, opts: opts, tracer: p.tracer, rows: p.rows}
-}
 
 // Tracer returns the tracer this processor reports to, or nil.
 func (p *Processor) Tracer() *obs.Tracer { return p.tracer }

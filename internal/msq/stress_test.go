@@ -7,14 +7,16 @@ import (
 	"testing"
 
 	"metricdb/internal/query"
+	"metricdb/internal/scan"
 	"metricdb/internal/vec"
+	"metricdb/internal/xtree"
 )
 
-// Stress tests for the pipeline's shared state, meant to run under the race
-// detector (make differential / make race). They hammer one shared Session
-// and one shared Processor from many goroutines while the pipeline itself
-// runs at width 4, so every lock — session serialization, per-query answer
-// shards, pager singleflight, buffer LRU, disk counters — sees contention.
+// Stress tests for the state concurrent callers share, meant to run under
+// the race detector (make differential / make race). They hammer one
+// shared Session and one shared Processor from many goroutines over
+// buffered engines, so every lock — session serialization, pager
+// singleflight, buffer LRU, disk and distance counters — sees contention.
 
 // stressQueries builds g disjoint-ID query batches over one dataset.
 func stressQueries(dim int, groups, perGroup int, seed int64) [][]Query {
@@ -43,17 +45,20 @@ func stressQueries(dim int, groups, perGroup int, seed int64) [][]Query {
 }
 
 // TestStressSharedSession drives one Session from many goroutines. Calls
-// serialize on the session mutex, but each call runs the width-4 pipeline,
-// so the test exercises pipeline teardown/startup back to back plus the
-// shared pager underneath, and verifies the final answers are still exact.
+// serialize on the session mutex, each building on the buffered state the
+// previous one left, and the test verifies the final answers are still
+// exact.
 func TestStressSharedSession(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in short mode")
 	}
 	const dim = 4
 	items := testDB(31, 400, dim)
-	eng := scanEngine(t, items)
-	proc, err := New(eng, vec.Euclidean{}, Options{Concurrency: 4})
+	eng, err := scan.New(items, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc, err := New(eng, vec.Euclidean{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +100,14 @@ func TestStressSharedSession(t *testing.T) {
 }
 
 // TestStressSharedProcessor runs many independent sessions concurrently on
-// one processor, so the pipelines contend for the same engine, pager,
-// buffer and disk — the deployment shape of the wire server, where each
-// connection owns a session over a shared database.
+// one processor, so they contend for the same engine, pager, buffer and
+// disk — the deployment shape of the wire server, where each connection
+// owns a session over a shared database. The buffer holds a fraction of
+// the pages, so concurrent misses, singleflight waits and evictions
+// interleave. The subtest name is the number of sessions that run each
+// batch at once: at width 4 every batch's pages are wanted by four
+// sessions together, so their misses on one page meet in the pager's
+// singleflight.
 func TestStressSharedProcessor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in short mode")
@@ -105,18 +115,20 @@ func TestStressSharedProcessor(t *testing.T) {
 	const dim = 4
 	items := testDB(41, 400, dim)
 	for _, width := range []int{1, 4} {
-		width := width
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
-			eng := xtreeEngine(t, items, dim)
-			proc, err := New(eng, vec.Euclidean{}, Options{Concurrency: width})
+			eng, err := xtree.Bulk(items, dim, xtree.Config{LeafCapacity: 16, DirFanout: 8, BufferPages: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			const goroutines = 8
-			batches := stressQueries(dim, goroutines, 4, 42)
+			proc, err := New(eng, vec.Euclidean{}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const groups = 8
+			batches := stressQueries(dim, groups, 4, 42)
 			var wg sync.WaitGroup
-			failures := make(chan string, goroutines*4)
-			for g := 0; g < goroutines; g++ {
+			failures := make(chan string, groups*width*4)
+			for g := 0; g < groups*width; g++ {
 				wg.Add(1)
 				go func(qs []Query) {
 					defer wg.Done()
@@ -131,7 +143,7 @@ func TestStressSharedProcessor(t *testing.T) {
 							failures <- fmt.Sprintf("query %d: wrong answers", q.ID)
 						}
 					}
-				}(batches[g])
+				}(batches[g%groups])
 			}
 			wg.Wait()
 			close(failures)

@@ -35,8 +35,8 @@ import (
 // Phase identifies one stage of query processing whose latency is
 // histogrammed separately. The taxonomy follows the life of a multiple
 // similarity query: plan the pages, build the query-distance matrix, then
-// per page fetch/wait, evaluation (avoidance checks and kernels) and answer
-// merging — plus the serving layer's per-server calls and wire codec work.
+// per page fetch/wait and evaluation (avoidance checks, kernels and answer
+// merging) — plus the serving layer's per-server calls and wire codec work.
 type Phase uint8
 
 // Phases. The String values are the `phase` label on the exported
@@ -45,25 +45,19 @@ const (
 	// PhasePageFetch is one simulated-disk page read (a buffer miss),
 	// observed inside the store pager.
 	PhasePageFetch Phase = iota
-	// PhasePageWait is the query processor's wait for a page: the ReadPage
-	// call (buffer hits are ~0) or, in the pipeline, the wait on the
-	// prefetcher's delivery channel.
+	// PhasePageWait is the query processor's wait for a page: one ReadPage
+	// call (buffer hits are ~0).
 	PhasePageWait
 	// PhasePlan is determine_relevant_data_pages: one engine Plan call.
 	PhasePlan
 	// PhaseMatrix is the inter-query distance matrix build (§5.2's
 	// quadratic-in-m initialization overhead).
 	PhaseMatrix
-	// PhaseKernel is the evaluation of one page (in the pipeline, one
-	// chunk of a page's items) against its active queries, timed as a
-	// whole: Lemma-1/2 avoidance checks, bounded distance kernels and,
-	// on the sequential path, the inline answer-list merge. No clock is
-	// read per (item, query) pair.
+	// PhaseKernel is the evaluation of one page against its active
+	// queries, timed as a whole: Lemma-1/2 avoidance checks, bounded
+	// distance kernels and the inline answer-list merge. No clock is read
+	// per (item, query) pair.
 	PhaseKernel
-	// PhaseMerge is the per-query merge of one page's results into the
-	// answer lists (the pipeline's phase 2; the sequential path merges
-	// inline and charges it to PhaseKernel).
-	PhaseMerge
 	// PhaseServerCall is one per-server call of the parallel cluster
 	// (attempt granularity, including retries separately).
 	PhaseServerCall
@@ -91,7 +85,6 @@ var phaseNames = [NumPhases]string{
 	"plan",
 	"matrix",
 	"kernel",
-	"merge",
 	"server_call",
 	"wire_decode",
 	"wire_encode",

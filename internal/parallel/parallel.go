@@ -134,11 +134,6 @@ type Config struct {
 	Metric      vec.Metric
 	// Avoidance is forwarded to each server's processor.
 	Avoidance msq.AvoidanceMode
-	// Concurrency is each server's intra-server pipeline width (the msq
-	// Concurrency knob): inter-server parallelism comes from the cluster
-	// fan-out, intra-server parallelism from this. 0 and 1 keep the
-	// servers sequential inside.
-	Concurrency int
 
 	// WrapDisk, when non-nil, interposes on each server's freshly built
 	// disk — the fault-injection hook. It is called once per server with
@@ -245,7 +240,7 @@ func New(items []store.Item, cfg Config) (*Cluster, error) {
 		}
 		// Each server gets its own counting metric so per-server CPU
 		// cost can be reported.
-		proc, err := msq.New(eng, vec.NewCounting(cfg.Metric), msq.Options{Avoidance: cfg.Avoidance, Concurrency: cfg.Concurrency})
+		proc, err := msq.New(eng, vec.NewCounting(cfg.Metric), msq.Options{Avoidance: cfg.Avoidance})
 		if err != nil {
 			return nil, fmt.Errorf("parallel: server %d: %w", i, err)
 		}
@@ -483,7 +478,7 @@ func (c *Cluster) MultiQueryAllContext(ctx context.Context, queries []msq.Query)
 // configured timeout. The query processor checks its context once per page,
 // but a single page read may stall indefinitely (a hung simulated disk), so
 // the timeout still races a timer against the attempt: on expiry the attempt
-// is abandoned — its goroutine aborts at its next page barrier via the
+// is abandoned — its goroutine aborts at its next page check via the
 // canceled attempt context, any I/O it issued still shows up in the server's
 // cumulative disk statistics, and its result is discarded.
 func (c *Cluster) callServer(ctx context.Context, srv *server, queries []msq.Query) ([]*query.AnswerList, ServerStats, error) {
@@ -515,7 +510,7 @@ func (c *Cluster) callServer(ctx context.Context, srv *server, queries []msq.Que
 	case o := <-ch:
 		return o.res, o.st, o.err
 	case <-timer.C:
-		cancel() // let the abandoned attempt stop at its next page barrier
+		cancel() // let the abandoned attempt stop at its next page check
 		return nil, ServerStats{}, fmt.Errorf("parallel: server timed out after %v", c.cfg.Timeout)
 	}
 }

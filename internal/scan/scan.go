@@ -7,9 +7,7 @@
 // factor is exactly m).
 //
 // A scan is immutable after construction, so all query-path methods are
-// safe for concurrent readers; because every plan entry has lower bound
-// zero, the msq pipeline can prefetch a scan's entire plan, giving the
-// scan the full benefit of intra-server I/O/CPU overlap.
+// safe for concurrent readers.
 package scan
 
 import (

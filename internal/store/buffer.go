@@ -11,7 +11,7 @@ import (
 // buffer sized at 10 % of the index, which DefaultBufferPages computes.
 // Buffer is safe for concurrent use; the hit/miss counters are atomic so
 // that HitRate can be sampled without contending with readers on the LRU
-// lock while a query pipeline is running.
+// lock while queries are running.
 type Buffer struct {
 	mu        sync.Mutex
 	capacity  int
@@ -63,6 +63,16 @@ func (b *Buffer) Get(pid PageID) (*Page, bool) {
 	b.hits.Add(1)
 	b.order.MoveToFront(e.elem)
 	return e.page, true
+}
+
+// count charges one lookup outcome to the hit/miss counters without
+// touching the LRU order.
+func (b *Buffer) count(hit bool) {
+	if hit {
+		b.hits.Add(1)
+	} else {
+		b.misses.Add(1)
+	}
 }
 
 // Put inserts or refreshes a page, evicting the least recently used page if

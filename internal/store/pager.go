@@ -21,8 +21,8 @@ import (
 // coalesced into a single disk read ("singleflight"): the first caller goes
 // to disk, later callers wait for its result. This keeps the cost-model
 // invariant that a page is read from disk at most once per working set even
-// when several goroutines — e.g. the msq pipeline's prefetcher and
-// coordinator, or parallel sessions — request it at the same instant.
+// when several goroutines — e.g. concurrent msq sessions — request it at
+// the same instant.
 type Pager struct {
 	disk PageSource
 	buf  *Buffer
@@ -54,22 +54,27 @@ func NewPager(disk PageSource, buf *Buffer) (*Pager, error) {
 }
 
 // ReadPage returns the page, going to disk only on a buffer miss. The buffer
-// probe happens under the pager lock so that exactly one Get (and so one
-// hit-or-miss count) is charged per call, and so that a miss and the
-// in-flight registration are atomic — two concurrent misses cannot both
-// reach the disk.
+// probe happens under the pager lock so that exactly one hit-or-miss count
+// is charged per call, and so that a miss and the in-flight registration
+// are atomic — two concurrent misses cannot both reach the disk. A caller
+// that joins another caller's in-flight read is served without disk I/O
+// and is charged a hit once that read succeeds, so with a buffer holding
+// the working set the misses equal the disk reads.
 func (p *Pager) ReadPage(pid PageID) (*Page, error) {
 	p.mu.Lock()
+	if f, ok := p.inflight[pid]; ok {
+		p.mu.Unlock()
+		<-f.done
+		if p.buf != nil {
+			p.buf.count(f.err == nil)
+		}
+		return f.page, f.err
+	}
 	if p.buf != nil {
 		if pg, ok := p.buf.Get(pid); ok {
 			p.mu.Unlock()
 			return pg, nil
 		}
-	}
-	if f, ok := p.inflight[pid]; ok {
-		p.mu.Unlock()
-		<-f.done
-		return f.page, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	p.inflight[pid] = f

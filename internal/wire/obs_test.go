@@ -112,6 +112,13 @@ func TestWireTracerSpans(t *testing.T) {
 	if _, _, err := c.Query(QuerySpec{Vector: []float64{0.2, 0.4, 0.6}, Kind: "knn", K: 2}); err != nil {
 		t.Fatal(err)
 	}
+	// The server records a response's encode span after flushing it, so
+	// the client can hold the reply before the span exists. A connection's
+	// requests are served in order: once the ping's reply arrives, the
+	// query's spans have been recorded.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	if got := tr.Snapshot(obs.PhaseWireDecode).Count; got == 0 {
 		t.Error("no wire_decode spans recorded")
 	}

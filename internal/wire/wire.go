@@ -250,12 +250,6 @@ type ServerConfig struct {
 	// Logf, when non-nil, receives per-connection lifecycle lines
 	// (session statistics at disconnect, rejected connections).
 	Logf func(format string, args ...any)
-	// Concurrency overrides the processor's intra-server pipeline width
-	// for the sessions this server creates: the number of goroutines
-	// evaluating each data page per query batch. Zero keeps the
-	// processor's own setting; 1 pins the sequential path. Answers are
-	// bit-identical at every width.
-	Concurrency int
 	// Tracer, when non-nil, receives wire_decode and wire_encode spans for
 	// every request and response this server handles. It does not replace
 	// the processor's tracer — install that separately with
@@ -342,12 +336,6 @@ func NewServerWithConfig(proc *msq.Processor, cfg ServerConfig) (*Server, error)
 	}
 	if cfg.MaxRequestBytes < 0 || cfg.MaxConns < 0 {
 		return nil, fmt.Errorf("wire: negative limit in config")
-	}
-	if cfg.Concurrency < 0 {
-		return nil, fmt.Errorf("wire: negative concurrency in config")
-	}
-	if cfg.Concurrency > 0 {
-		proc = proc.WithConcurrency(cfg.Concurrency)
 	}
 	s := &Server{proc: proc, cfg: cfg, conns: make(map[net.Conn]struct{})}
 	if cfg.Admit != nil {

@@ -122,7 +122,7 @@ func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPag
 	// The stored layout dictates the page capacity; reflect it in the
 	// options so DB introspection reports the truth.
 	opts.PageCapacity = man.PageCapacity
-	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency})
+	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance})
 	if err != nil {
 		fd.Close() //nolint:errcheck
 		return nil, err
@@ -204,7 +204,7 @@ func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPa
 		}
 		return nil, err
 	}
-	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency})
+	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance})
 	if err != nil {
 		if fd != nil {
 			fd.Close() //nolint:errcheck
